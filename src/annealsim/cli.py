@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .hamiltonian import (
     minimum_gap,
 )
 from .io import export_result, read_bqpjson
-from .magnus import SimulationResult, SolverConfig, SweepPoint, run_config
+from .magnus import SimulationResult, SolverConfig, run_config, simulate_sweep
 from .schedule import (
     AnnealingSchedule,
     builtin_schedule,
@@ -196,21 +195,8 @@ def _cmd_sweep(args) -> int:
     schedule = _load_schedule(args.schedule, args.driver_sign)
     offsets = _parse_offsets(args, model.n_qubits)
     config = _solver_config(args)
-    taus = _parse_times(args.times)
-    if not taus:
-        raise ValueError("no evolution times given")
-
-    def run_one(tau: float) -> SweepPoint:
-        try:
-            return SweepPoint(tau=tau, result=run_config(model, tau, schedule, config, offsets))
-        except Exception as exc:  # noqa: BLE001 - sweep isolates per-point failures
-            return SweepPoint(tau=tau, error=f"{type(exc).__name__}: {exc}")
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(run_one, taus))
-    else:
-        points = [run_one(tau) for tau in taus]
+    points = simulate_sweep(model, _parse_times(args.times), schedule, config, offsets,
+                            jobs=args.jobs)
     points.sort(key=lambda p: p.tau)
 
     failures = [p for p in points if p.result is None]

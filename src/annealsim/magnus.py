@@ -9,16 +9,13 @@ the nested integrals of the Magnus series are then evaluated in closed form
 by polynomial algebra on the coefficient matrices; numerical quadrature never
 enters the propagator.
 
-Two implementations of the series coexist:
-
-* :func:`omega_explicit4` evaluates the first four terms from their explicit
-  iterated-integral form, reduced once to exact rational weights on products
-  of the coefficient matrices (the optimized default path).
-* :func:`omega_recursive` runs the generic order-``k`` recursion with
-  Bernoulli-number coefficients directly on matrix polynomials.
-
-Cross-agreement of the two paths on random inputs is the main correctness
-gate of the package; see the test suite.
+Every order runs through one batched engine, whose series weights come from
+the Bernoulli-number recursion run once on symbols (:func:`_series_weights`).
+:func:`omega_explicit4` (the first four terms from their explicit
+iterated-integral form, in exact rational weights) and :func:`omega_recursive`
+(the recursion on matrix polynomials) stay as independent references;
+cross-agreement of the paths on random inputs is the main correctness gate of
+the package, see the test suite.
 
 Step propagators are exponentiated through the eigendecomposition of the
 Hermitian matrix ``i * Omega``, so every step is unitary to roundoff and the
@@ -28,7 +25,9 @@ state stays physical even at grossly insufficient step counts.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -37,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, SolverConfigError
+from .errors import ConvergenceError, NumericalError, SizeError, SolverConfigError
 from .hamiltonian import (
     FieldOffsets,
     IsingModel,
@@ -47,7 +46,7 @@ from .hamiltonian import (
     _z_offset_diagonal,
     ising_diagonal,
 )
-from .schedule import AnnealingSchedule, ALL_MINUS, local_quadratic_fit
+from .schedule import AnnealingSchedule, ALL_MINUS
 
 MAX_ORDER = 8
 
@@ -243,15 +242,6 @@ def _omega_weight_table(k: int, degree: int = 2) -> dict[tuple[int, ...], float]
     return {w: float(c) for w, c in table.items() if c != 0}
 
 
-@cache
-def _omega_weight_tensor(k: int) -> np.ndarray:
-    dense = np.zeros((3,) * k)
-    for word, weight in _omega_weight_table(k).items():
-        dense[word] = weight
-    dense.setflags(write=False)
-    return dense
-
-
 def omega_explicit4(poly: MatrixPolynomial, upto: int = 4) -> list[OmegaTerm]:
     """First series terms from their explicit iterated-integral form.
 
@@ -324,22 +314,58 @@ def omega_recursive(poly: MatrixPolynomial, k: int) -> list[OmegaTerm]:
 
 
 # ---------------------------------------------------------------------------
+# series weights for the batched engine
+#
+# The recursion of omega_recursive run once on symbols: a word polynomial of
+# length m is an array of shape (3**m, width) whose entry [w, p] weighs
+# u**p * C_{w_1} ... C_{w_m}, the word w in the fit degrees read as a base-3
+# number, first letter most significant.  P(u) itself is the identity.
+
+
+def _word_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] of word polynomials: concatenated words, convolved powers."""
+    width = a.shape[1] + b.shape[1] - 1
+    prod = np.zeros((a.shape[0], b.shape[0], width))
+    for i in range(a.shape[1]):
+        prod[:, :, i : i + b.shape[1]] += a[:, None, i, None] * b[None, :, :]
+    # word (w_a, w_b) minus word (w_b, w_a)
+    return prod.reshape(-1, width) - prod.transpose(1, 0, 2).reshape(-1, width)
+
+
+def _word_antiderivative(a: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0], a.shape[1] + 1))
+    out[:, 1:] = a / np.arange(1, a.shape[1] + 1)
+    return out
+
+
+@cache
+def _series_weights(order: int) -> tuple[np.ndarray, ...]:
+    """Weights of the ordered coefficient products in terms 1..order, shapes (3,)*k."""
+    poly = np.eye(3)
+    omegas = [_word_antiderivative(poly)]
+    s_table: dict[tuple[int, int], np.ndarray] = {}
+    for m in range(2, order + 1):
+        s_table[(m, 1)] = _word_commutator(omegas[m - 2], poly)
+        for j in range(2, m):
+            s_table[(m, j)] = sum(_word_commutator(omegas[l - 1], s_table[(m - l, j - 1)])
+                                  for l in range(1, m - j + 1))
+        integrand = sum(float(_BERNOULLI[j]) / math.factorial(j) * s_table[(m, j)]
+                        for j in range(1, m))
+        omegas.append(_word_antiderivative(integrand))
+    tables = tuple(w.sum(axis=1).reshape((3,) * k) for k, w in enumerate(omegas, 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+# ---------------------------------------------------------------------------
 # exponentiation
 
 
-def _expm_antihermitian(omegas: np.ndarray, tol: float = 1e-10,
-                        check: bool = True) -> np.ndarray:
+def _expm_antihermitian(omegas: np.ndarray) -> np.ndarray:
     """exp() of a stack of anti-Hermitian matrices via Hermitian eigh."""
-    adjoint = np.conj(np.swapaxes(omegas, -1, -2))
-    if check:
-        defect = np.abs(omegas + adjoint).max()
-        scale = max(1.0, np.abs(omegas).max())
-        if defect > tol * scale:
-            raise NumericalError(
-                f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
-            )
     # i * Omega, symmetrized: eigh sees an exactly Hermitian input
-    herm = 0.5j * (omegas - adjoint)
+    herm = 0.5j * (omegas - np.conj(np.swapaxes(omegas, -1, -2)))
     eigvals, eigvecs = np.linalg.eigh(herm)
     phases = np.exp(-1j * eigvals)
     return (eigvecs * phases[..., None, :]) @ np.conj(np.swapaxes(eigvecs, -1, -2))
@@ -354,6 +380,12 @@ def exponentiate_omega(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=complex)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {omega.shape}")
+    defect = np.abs(omega + omega.conj().T).max()
+    scale = max(1.0, np.abs(omega).max())
+    if defect > 1e-10 * scale:
+        raise NumericalError(
+            f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds 1.0e-10 * {scale:.3e}"
+        )
     return _expm_antihermitian(omega)
 
 
@@ -442,6 +474,11 @@ class SweepPoint:
 # step engine
 
 _CHUNK_ELEMENTS = 1 << 21  # per-chunk working-set bound (matrix elements)
+# complex arrays of a chunk's size alive at once while a chunk is exponentiated
+_CHUNK_ARRAYS = 8
+_PHYSICAL_MEMORY = (
+    os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else math.inf
+)
 
 
 def _step_grid(n_steps: int, kinks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -476,56 +513,60 @@ def _eval_envelope(fn, points: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(x))) for x in points])
 
 
+def _word_count(n_bases: int, order: int) -> int:
+    return sum(n_bases**k for k in range(1, order + 1))
+
+
+def _engine_bytes(n_qubits: int, n_bases: int, order: int) -> tuple[int, int]:
+    """Bytes of the product cache (bases included) and of one chunk's working set."""
+    dim2 = 1 << (2 * n_qubits)
+    cache = _word_count(n_bases, order) * dim2 * 8
+    return cache, _CHUNK_ARRAYS * 16 * max(_CHUNK_ELEMENTS, dim2)
+
+
 class _StepEngine:
     """Cached operators and vectorized per-step generator construction.
 
     The step generator is a linear combination of a handful of fixed base
     operators (driver, Ising diagonal, optional offsets), so products of up
-    to four coefficient matrices reduce to cached products of base operators
-    weighted by per-step scalars.  That turns a whole batch of steps into a
-    few einsum/matmul calls plus one batched eigendecomposition.
+    to ``order`` coefficient matrices reduce to cached products of base
+    operators weighted by per-step scalars.  That turns a whole batch of
+    steps into a few einsum/matmul calls plus one batched eigendecomposition.
     """
 
     def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None):
-        self.model = model
+                 offsets: FieldOffsets | None, order: int = 4):
         self.schedule = schedule
-        self.n_qubits = model.n_qubits
         self.dim = 1 << model.n_qubits
-        bases = [
-            schedule.driver_sign * _transverse_cached(model.n_qubits),
-            np.diag(ising_diagonal(model)),
-        ]
-        if offsets is not None and offsets.any_nonzero():
-            bases.append(
-                _weighted_flip_matrix(offsets.x) + np.diag(_z_offset_diagonal(offsets))
+        with_offsets = offsets is not None and offsets.any_nonzero()
+        self.n_bases = 3 if with_offsets else 2
+        need = sum(_engine_bytes(model.n_qubits, self.n_bases, order))
+        if need > _PHYSICAL_MEMORY:
+            raise SizeError(
+                f"{model.n_qubits} qubits at order {order} with {self.n_bases} base operators "
+                f"need {need} bytes, more than the {_PHYSICAL_MEMORY} of physical memory"
             )
-        self.bases = np.stack(bases)
-        self.n_bases = len(bases)
-        self._base_products: dict[int, np.ndarray] = {1: self.bases}
-        self._stacked_products: dict[int, np.ndarray] = {}
+        # products of length 1..order, grouped by length; the bases lead
+        self._products = np.empty((_word_count(self.n_bases, order), self.dim, self.dim))
+        self._levels = 1
+        self.bases = self._products[: self.n_bases]
+        self.bases[0] = schedule.driver_sign * _transverse_cached(model.n_qubits)
+        self.bases[1] = np.diag(ising_diagonal(model))
+        if with_offsets:
+            self.bases[2] = _weighted_flip_matrix(offsets.x) + np.diag(_z_offset_diagonal(offsets))
         self.psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
 
-    def base_products(self, length: int) -> np.ndarray:
-        cached = self._base_products.get(length)
-        if cached is None:
-            prev = self.base_products(length - 1)
-            cached = np.matmul(prev[:, None], self.bases[None, :]).reshape(
-                -1, self.dim, self.dim
-            )
-            self._base_products[length] = cached
-        return cached
-
     def stacked_products(self, order: int) -> np.ndarray:
-        """All base-word products of length 1..order as one (words, dim*dim) block."""
-        cached = self._stacked_products.get(order)
-        if cached is None:
-            cached = np.concatenate(
-                [self.base_products(k).reshape(-1, self.dim * self.dim)
-                 for k in range(1, order + 1)]
-            )
-            self._stacked_products[order] = cached
-        return cached
+        """All base-word products of length 1..order as one real (words, dim*dim) block."""
+        nb = self.n_bases
+        while self._levels < order:
+            # each product one longer is a product of the last level times a base
+            lo, hi = _word_count(nb, self._levels - 1), _word_count(nb, self._levels)
+            out = self._products[hi : hi + (hi - lo) * nb]
+            np.matmul(self._products[lo:hi, None], self.bases[None],
+                      out=out.reshape(hi - lo, nb, self.dim, self.dim))
+            self._levels += 1
+        return self._products[: _word_count(nb, order)].reshape(-1, self.dim * self.dim)
 
     def fit_scalars(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
         """Per-step coefficients c[m, degree, base] of the step generators."""
@@ -545,30 +586,29 @@ class _StepEngine:
 
     def omega_batch(self, starts: np.ndarray, widths: np.ndarray, tau: float,
                     order: int) -> np.ndarray:
-        """Truncated series for a batch of steps (orders 1..4)."""
+        """Truncated series (terms 1..order) for a batch of steps."""
         c = self.fit_scalars(starts, widths, tau)
         count = starts.size
         nb = self.n_bases
         flats = []
-        for k in range(1, order + 1):
+        for k, table in enumerate(_series_weights(order), 1):
             # contract the weight tensor against c one degree index at a time:
             # r[m, x_1..x_j, d_{j+1}..d_k] stored as (m, nb**j, 3**(k-j))
-            r = np.tensordot(c, _omega_weight_tensor(k).reshape(3, -1), axes=(1, 0))
+            r = np.tensordot(c, table.reshape(3, -1), axes=(1, 0))
             for j in range(2, k + 1):
                 p = nb ** (j - 1)
                 q = 3 ** (k - j)
                 r = np.einsum("mpdq,mdx->mpxq", r.reshape(count, p, 3, q), c)
             flats.append(r.reshape(count, nb**k))
         weights = np.concatenate(flats, axis=1)
-        total = weights @ self.stacked_products(order)
-        return total.reshape(count, self.dim, self.dim)
-
-    def step_polynomial(self, start: float, width: float, tau: float) -> MatrixPolynomial:
-        """Generator of a single step as a degree-2 matrix polynomial."""
-        c = self.fit_scalars(np.array([start]), np.array([width]), tau)[0]
-        return MatrixPolynomial([
-            np.tensordot(c[d], self.bases, axes=(0, 0)) for d in range(3)
-        ])
+        # real and imaginary weights as the rows of one real matrix, so the
+        # real product block is never copied to complex
+        parts = np.moveaxis(weights.view(float).reshape(count, -1, 2), -1, 0)
+        re_im = parts.reshape(2 * count, -1) @ self.stacked_products(order)
+        omegas = np.empty((count, self.dim, self.dim), dtype=complex)
+        omegas.real = re_im[:count].reshape(omegas.shape)
+        omegas.imag = re_im[count:].reshape(omegas.shape)
+        return omegas
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -585,26 +625,18 @@ def _total_unitary(engine: _StepEngine, starts: np.ndarray, widths: np.ndarray,
                    tau: float, order: int) -> np.ndarray:
     dim = engine.dim
     total = np.eye(dim, dtype=complex)
-    if order <= 4:
-        chunk = max(1, min(_CHUNK_ELEMENTS // (dim * dim), 1 << 16))
-        for lo in range(0, starts.size, chunk):
-            omegas = engine.omega_batch(
-                starts[lo : lo + chunk], widths[lo : lo + chunk], tau, order
-            )
-            if not np.isfinite(omegas).all():
-                bad = lo + int(
-                    np.flatnonzero(~np.isfinite(omegas).reshape(omegas.shape[0], -1).all(1))[0]
-                )
-                raise NumericalError(f"non-finite step generator at step index {bad}")
-            unitaries = _expm_antihermitian(omegas, check=False)
-            total = _ordered_product(unitaries) @ total
-    else:
-        for i, (s0, w) in enumerate(zip(starts, widths)):
-            poly = engine.step_polynomial(float(s0), float(w), tau)
-            omega = omega_total(omega_recursive(poly, order))
-            if not np.isfinite(omega).all():
-                raise NumericalError(f"non-finite step generator at step index {i}")
-            total = _expm_antihermitian(omega) @ total
+    # the chunk bounds both the dim x dim stacks and the weight contractions
+    chunk = max(1, min(_CHUNK_ELEMENTS // max(dim * dim, 3**order), 1 << 16))
+    for lo in range(0, starts.size, chunk):
+        omegas = engine.omega_batch(
+            starts[lo : lo + chunk], widths[lo : lo + chunk], tau, order
+        )
+        finite = np.isfinite(omegas).all(axis=(1, 2))
+        if not finite.all():
+            bad = lo + int(np.argmin(finite))
+            raise NumericalError(f"non-finite step generator at step index {bad}")
+        unitaries = _expm_antihermitian(omegas)
+        total = _ordered_product(unitaries) @ total
     return total
 
 
@@ -628,24 +660,10 @@ def build_step_polynomial(
     """
     if not 0.0 <= t0 < t1 <= tau:
         raise ValueError(f"need 0 <= t0 < t1 <= tau, got t0={t0}, t1={t1}, tau={tau}")
-    model = IsingModel.from_terms(model)
-    offsets = _check_offsets(offsets, model.n_qubits)
-    engine = _StepEngine(model, schedule, offsets)
-    s0, s1 = t0 / tau, t1 / tau
-    width = s1 - s0
-    scale = -1j * tau * width
-    coeffs = [np.zeros((engine.dim, engine.dim), dtype=complex) for _ in range(3)]
-    for base_idx, fn in ((0, schedule.A), (1, schedule.B)):
-        fit = local_quadratic_fit(fn, s0, s1)
-        # change of variable s = s0 + u * width
-        u0 = fit(s0)
-        u1 = (fit.c1 + 2.0 * fit.c2 * s0) * width
-        u2 = fit.c2 * width * width
-        for d, value in enumerate((u0, u1, u2)):
-            coeffs[d] += scale * value * engine.bases[base_idx]
-    if engine.n_bases == 3:
-        coeffs[0] += scale * engine.bases[2]
-    return MatrixPolynomial(coeffs)
+    model, offsets = _prepare(model, offsets)
+    engine = _StepEngine(model, schedule, offsets, order=1)
+    c = engine.fit_scalars(np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)[0]
+    return MatrixPolynomial([np.tensordot(c[d], engine.bases, axes=(0, 0)) for d in range(3)])
 
 
 def _prepare(model, offsets):
@@ -673,16 +691,16 @@ def simulate_fixed(
     order 2 in the step width, two or more at order 4, capped there by the
     quadratic envelope fit.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise SolverConfigError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    if n_steps < 1:
-        raise SolverConfigError(f"n_steps must be >= 1, got {n_steps}")
+    SolverConfig(order=order, n_steps=n_steps)
     if tau < 0:
         raise ValueError(f"evolution time must be >= 0, got {tau}")
     model, offsets = _prepare(model, offsets)
-    engine = _StepEngine(model, schedule, offsets)
     starts, widths = _step_grid(n_steps, schedule.kinks)
-    total = _total_unitary(engine, starts, widths, tau, order)
+    try:
+        engine = _StepEngine(model, schedule, offsets, order)
+        total = _total_unitary(engine, starts, widths, tau, order)
+    except MemoryError as exc:
+        raise SizeError(f"out of memory at {model.n_qubits} qubits and order {order}") from exc
     psi = total @ engine.psi0
     if not np.isfinite(psi).all():
         raise NumericalError("non-finite final state")
@@ -754,10 +772,13 @@ def simulate_sweep(
     schedule: AnnealingSchedule,
     config: SolverConfig | None = None,
     offsets: FieldOffsets | None = None,
+    jobs: int = 1,
 ) -> list[SweepPoint]:
     """Independent simulations over a list of evolution times.
 
-    Failures are captured per point instead of aborting the sweep.
+    Failures are captured per point instead of aborting the sweep.  With
+    ``jobs > 1`` the points run on that many threads; the points come back
+    in input order either way.
     """
     taus = [float(t) for t in tau_list]
     if not taus:
@@ -765,13 +786,17 @@ def simulate_sweep(
     if any(t < 0 for t in taus):
         raise ValueError("evolution times must be >= 0")
     config = config or SolverConfig()
-    points: list[SweepPoint] = []
-    for tau in taus:
+
+    def run_one(tau: float) -> SweepPoint:
         try:
-            points.append(SweepPoint(tau=tau, result=run_config(model, tau, schedule, config, offsets)))
+            return SweepPoint(tau=tau, result=run_config(model, tau, schedule, config, offsets))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
-            points.append(SweepPoint(tau=tau, error=f"{type(exc).__name__}: {exc}"))
-    return points
+            return SweepPoint(tau=tau, error=f"{type(exc).__name__}: {exc}")
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run_one, taus))
+    return [run_one(tau) for tau in taus]
 
 
 def run_config(

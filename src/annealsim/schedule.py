@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +31,13 @@ class AnnealingSchedule:
 
     ``kinks`` lists interior points where a derivative jump is known; the
     solver never lets an integration step straddle one.
+    ``initial_state_kind`` follows from ``driver_sign`` when not given.
     """
 
     A: Callable[[float], float]
     B: Callable[[float], float]
     driver_sign: int = 1
-    initial_state_kind: str = ALL_MINUS
+    initial_state_kind: str | None = None
     name: str = "custom"
     kinks: tuple[float, ...] = ()
     table: tuple | None = field(default=None, compare=False, repr=False)
@@ -45,7 +46,9 @@ class AnnealingSchedule:
         if self.driver_sign not in (1, -1):
             raise ScheduleError(f"driver_sign must be +1 or -1, got {self.driver_sign!r}")
         expected = ALL_MINUS if self.driver_sign == 1 else ALL_PLUS
-        if self.initial_state_kind != expected:
+        if self.initial_state_kind is None:
+            object.__setattr__(self, "initial_state_kind", expected)
+        elif self.initial_state_kind != expected:
             raise ScheduleError(
                 f"initial_state_kind {self.initial_state_kind!r} is inconsistent with "
                 f"driver_sign {self.driver_sign:+d} (expected {expected!r})"
@@ -53,16 +56,7 @@ class AnnealingSchedule:
 
     def with_driver_sign(self, driver_sign: int) -> "AnnealingSchedule":
         """Same envelopes under the other driver-sign convention."""
-        kind = ALL_MINUS if driver_sign == 1 else ALL_PLUS
-        return AnnealingSchedule(
-            A=self.A,
-            B=self.B,
-            driver_sign=driver_sign,
-            initial_state_kind=kind,
-            name=self.name,
-            kinks=self.kinks,
-            table=self.table,
-        )
+        return replace(self, driver_sign=driver_sign, initial_state_kind=None)
 
 
 @dataclass(frozen=True)
@@ -113,10 +107,7 @@ def builtin_schedule(name: str, driver_sign: int = 1) -> AnnealingSchedule:
         known = ", ".join(sorted(_BUILTINS))
         raise ScheduleError(f"unknown schedule {name!r}; built-ins are: {known}")
     a, b, kinks = _BUILTINS[key]
-    kind = ALL_MINUS if driver_sign == 1 else ALL_PLUS
-    return AnnealingSchedule(
-        A=a, B=b, driver_sign=driver_sign, initial_state_kind=kind, name=key, kinks=kinks
-    )
+    return AnnealingSchedule(A=a, B=b, driver_sign=driver_sign, name=key, kinks=kinks)
 
 
 def builtin_schedule_names() -> list[str]:
@@ -139,10 +130,8 @@ def schedule_from_functions(
                 raise ScheduleError(f"{label}({probe}) raised {exc!r}") from exc
             if not np.isfinite(value):
                 raise ScheduleError(f"{label}({probe}) = {value} is not finite")
-    kind = ALL_MINUS if driver_sign == 1 else ALL_PLUS
     return AnnealingSchedule(
-        A=A, B=B, driver_sign=driver_sign, initial_state_kind=kind,
-        name=name, kinks=tuple(float(q) for q in kinks),
+        A=A, B=B, driver_sign=driver_sign, name=name, kinks=tuple(float(q) for q in kinks)
     )
 
 
@@ -193,12 +182,10 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
         out = np.interp(np.asarray(x, dtype=float), _s, _b)
         return out if out.ndim else float(out)
 
-    kind = ALL_MINUS if driver_sign == 1 else ALL_PLUS
     return AnnealingSchedule(
         A=interp_a,
         B=interp_b,
         driver_sign=driver_sign,
-        initial_state_kind=kind,
         name=path.stem,
         table=(tuple(s), tuple(a), tuple(b)),
     )

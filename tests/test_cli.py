@@ -162,6 +162,16 @@ class TestSweep:
         assert main(["sweep", "--out", str(out_parallel), "--jobs", "3"] + common) == 0
         assert out_serial.read_bytes() == out_parallel.read_bytes()
 
+    def test_negative_time_fails_whole_sweep_with_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", "--model", "1,2=-1", "--schedule", "circular", "--steps", "32",
+             "--times", "1.0,-0.5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "error[args]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_sorted_by_time_regardless_of_input_order(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(

@@ -263,6 +263,91 @@ class TestStepPolynomial:
             assert np.abs(direct - batch[k]).max() <= 1e-12
 
 
+class TestBatchedEngine:
+    """The batched engine carries every order; the reference pair checks it."""
+
+    @pytest.fixture(scope="class")
+    def offset_chain(self):
+        model = qa.IsingModel.from_terms({(1, 2): -0.8, (2, 3): 0.6, (1,): 0.3, (3,): -0.5})
+        offsets = qa.FieldOffsets.from_vectors(x=[0.2, -0.1, 0.15], z=[0.05, 0.1, -0.2],
+                                               n_qubits=3)
+        return model, offsets
+
+    @pytest.mark.parametrize("schedule", [("circular", 1), ("dw_quadratic", -1)])
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_engine_matches_recursive_path(self, offset_chain, schedule, order):
+        from annealsim.magnus import _StepEngine, _step_grid
+
+        model, offsets = offset_chain
+        sched = qa.builtin_schedule(schedule[0], driver_sign=schedule[1])
+        tau = 3.0
+        engine = _StepEngine(model, sched, offsets, order)
+        assert engine.n_bases == 3
+        starts, widths = _step_grid(8, sched.kinks)
+        batch = engine.omega_batch(starts, widths, tau, order)
+        for k in range(starts.size):
+            poly = qa.build_step_polynomial(
+                model, sched, offsets, tau, starts[k] * tau, (starts[k] + widths[k]) * tau
+            )
+            direct = qa.omega_total(qa.omega_recursive(poly, order))
+            # rounding of the word expansion grows with the step's |Omega|:
+            # against extended precision it is 3e-15 relative at |Omega| ~ 1 and
+            # 1.2e-12 at |Omega| ~ 2000 (order 8, dw_quadratic), where the
+            # recursive path stays near 1e-15
+            scale = np.abs(direct).max()
+            assert np.abs(direct - batch[k]).max() <= 1e-14 * max(1.0, scale) * scale
+
+    def test_series_weights_match_explicit_tables(self):
+        from annealsim.magnus import _omega_weight_table, _series_weights
+
+        tables = _series_weights(4)
+        for k in range(1, 5):
+            dense = np.zeros((3,) * k)
+            for word, weight in _omega_weight_table(k).items():
+                dense[word] = weight
+            assert np.abs(tables[k - 1] - dense).max() <= 1e-15
+
+
+class TestMemoryPreflight:
+    def test_oversized_engine_raises_before_allocating(self, circular):
+        import time
+
+        chain = {(i, i + 1): 1.0 for i in range(1, 16)}
+        offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 16, z=[0.1] * 16, n_qubits=16)
+        start = time.perf_counter()
+        with pytest.raises(qa.SizeError, match="16 qubits at order 8 with 3 base operators"):
+            qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=1, offsets=offsets)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    @pytest.mark.parametrize("order", [1, 4, 8])
+    def test_estimate_matches_cache(self, circular, with_offsets, order):
+        from annealsim.magnus import _engine_bytes, _StepEngine
+
+        model = qa.IsingModel.from_terms({(1, 2): 1.0, (2, 3): -1.0})
+        offsets = (
+            qa.FieldOffsets.from_vectors(x=[0.1] * 3, z=[0.2] * 3, n_qubits=3)
+            if with_offsets else None
+        )
+        engine = _StepEngine(model, circular, offsets, order)
+        cache_bytes, _ = _engine_bytes(3, engine.n_bases, order)
+        products = engine.stacked_products(order)
+        assert products.nbytes == cache_bytes
+        # the bases are the first rows of the cache, not a second copy
+        assert np.shares_memory(engine.bases, products)
+        assert np.array_equal(products[: engine.n_bases], engine.bases.reshape(engine.n_bases, -1))
+
+    def test_allocation_failure_is_a_size_error(self, circular, monkeypatch):
+        import annealsim.magnus as magnus_mod
+
+        def fail(self, order):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(magnus_mod._StepEngine, "stacked_products", fail)
+        with pytest.raises(qa.SizeError, match="out of memory"):
+            qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, n_steps=4)
+
+
 class TestErrorMetrics:
     def test_identical(self):
         rho = np.eye(2) / 2

@@ -54,6 +54,9 @@ class TestBuiltins:
         plus = qa.builtin_schedule("circular", driver_sign=-1)
         assert plus.initial_state_kind == "all_plus"
         assert qa.builtin_schedule("circular").initial_state_kind == "all_minus"
+        direct = qa.AnnealingSchedule(A=plus.A, B=plus.B, driver_sign=-1)
+        assert direct.initial_state_kind == "all_plus"
+        assert direct.with_driver_sign(1).initial_state_kind == "all_minus"
 
     def test_inconsistent_state_kind_rejected(self, circular):
         with pytest.raises(qa.ScheduleError):

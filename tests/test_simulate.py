@@ -71,8 +71,10 @@ class TestSimulateFixed:
         r5 = qa.simulate_fixed(model, 1.0, circular, order=5, n_steps=64)
         assert qa.trace_distance(r4.rho, r5.rho) <= 1e-9
 
-    def test_order6_converges_on_analytic_problem(self, circular):
-        result = qa.simulate_fixed(qa.single_field_model(), 2.0, circular, order=6, n_steps=128)
+    @pytest.mark.parametrize("order", [6, 7, 8])
+    def test_high_orders_converge_on_analytic_problem(self, circular, order):
+        result = qa.simulate_fixed(qa.single_field_model(), 2.0, circular, order=order,
+                                   n_steps=128)
         assert qa.trace_distance(result.rho, qa.rho_h1(1.0, 2.0)) <= 1e-9
 
     def test_scalar_only_user_schedule(self):
