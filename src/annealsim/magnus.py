@@ -17,9 +17,11 @@ iterated-integral form, in exact rational weights) and :func:`omega_recursive`
 cross-agreement of the paths on random inputs is the main correctness gate of
 the package, see the test suite.
 
-Step propagators are exponentiated through the eigendecomposition of the
-Hermitian matrix ``i * Omega``, so every step is unitary to roundoff and the
-state stays physical even at grossly insufficient step counts.
+Below seven qubits step propagators are exponentiated through the
+eigendecomposition of the Hermitian matrix ``i * Omega``; from seven qubits on
+``exp(Omega) psi`` is computed by Lanczos without forming any ``dim x dim``
+matrix.  Either way every step is unitary to roundoff, so the state stays
+physical even at grossly insufficient step counts.
 """
 
 from __future__ import annotations
@@ -30,9 +32,15 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import product as _iterproduct
+from pathlib import Path
 from typing import Any
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import numpy as np
 
@@ -401,16 +409,45 @@ def _check_same_shape(rho: np.ndarray, rho_hat: np.ndarray) -> tuple[np.ndarray,
     return rho, rho_hat
 
 
-def error_max(rho: np.ndarray, rho_hat: np.ndarray) -> float:
-    """Largest element-wise absolute difference."""
+# entries of |rho - rho_hat| formed at once when two state vectors are compared
+_COMPARE_BLOCK = 1 << 18
+
+
+def _abs_differences(rho: np.ndarray, rho_hat: np.ndarray):
+    """|rho - rho_hat| in blocks of rows, and the number of entries in all.
+
+    Two state vectors stand for their density matrices ``psi psi^*``, whose
+    rows are formed a block at a time, so memory stays O(dim).
+    """
     rho, rho_hat = _check_same_shape(rho, rho_hat)
-    return float(np.abs(rho - rho_hat).max())
+    if rho.ndim != 1:
+        return [np.abs(rho - rho_hat)], rho.size
+    dim = rho.size
+    rows = max(1, _COMPARE_BLOCK // dim)
+    conj, conj_hat = rho.conj(), rho_hat.conj()
+    blocks = (np.abs(np.multiply.outer(rho[lo : lo + rows], conj)
+                     - np.multiply.outer(rho_hat[lo : lo + rows], conj_hat))
+              for lo in range(0, dim, rows))
+    return blocks, dim * dim
+
+
+def error_max(rho: np.ndarray, rho_hat: np.ndarray) -> float:
+    """Largest element-wise absolute difference.
+
+    Takes two density matrices, or two state vectors, which are compared as
+    their density matrices without forming them.
+    """
+    blocks, _ = _abs_differences(rho, rho_hat)
+    return float(max(block.max() for block in blocks))
 
 
 def error_mean(rho: np.ndarray, rho_hat: np.ndarray) -> float:
-    """Element-wise absolute difference averaged over all matrix entries."""
-    rho, rho_hat = _check_same_shape(rho, rho_hat)
-    return float(np.abs(rho - rho_hat).sum() / rho.size)
+    """Element-wise absolute difference averaged over all matrix entries.
+
+    Takes two density matrices or two state vectors, like :func:`error_max`.
+    """
+    blocks, size = _abs_differences(rho, rho_hat)
+    return float(sum(block.sum() for block in blocks) / size)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +488,27 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Final density matrix with measurement probabilities and solver metadata."""
+    """Final state with measurement probabilities and solver metadata.
 
-    rho: np.ndarray
+    ``state`` is the final state vector of a Magnus run, or the density
+    matrix of the RK4 reference.  ``rho`` is formed from the vector on first
+    read, so a run too large for a ``dim x dim`` matrix never builds one
+    unless asked to.
+    """
+
+    state: np.ndarray
     probabilities: np.ndarray
     steps_used: int
     order: int
     convergence_trace: list[tuple[int, float, float]] = field(default_factory=list)
     metadata: dict[str, Any] = field(default_factory=dict)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Final density matrix."""
+        if self.state.ndim == 2:
+            return self.state
+        return np.outer(self.state, self.state.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,7 +521,7 @@ class SweepPoint:
 
 
 # ---------------------------------------------------------------------------
-# step engine
+# step engines
 
 _CHUNK_ELEMENTS = 1 << 21  # per-chunk working-set bound (matrix elements)
 # complex arrays of a chunk's size alive at once while a chunk is exponentiated
@@ -479,6 +529,53 @@ _CHUNK_ARRAYS = 8
 _PHYSICAL_MEMORY = (
     os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else math.inf
 )
+# the memory limit of the process's cgroup (v2), where there is one
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
+
+# From this many qubits on, steps act on the state vector by Lanczos; below it
+# the dense engine is faster.  Resolved order-4 steps on one core, ms/step
+# dense against Krylov: 0.29 / 1.7 at 5 qubits, 1.2 / 2.2 at 6, 4.7 / 2.4 at
+# 7, 28 / 3.1 at 8.
+_KRYLOV_MIN_QUBITS = 7
+# Lanczos stops once its a-posteriori error estimate, relative to the norm of
+# the state, is below _KRYLOV_TOL.  A step that needs more than
+# _KRYLOV_MAX_DIM vectors is split into sub-steps of spectral half-width
+# _KRYLOV_RADIUS at most; one wider than _KRYLOV_MAX_RADIUS is refused, since
+# its cost grows with the width while its result is far from converged.
+_KRYLOV_TOL = 1e-15
+_KRYLOV_MAX_DIM = 64
+_KRYLOV_RADIUS = 32.0
+_KRYLOV_MAX_RADIUS = 250.0
+
+
+class _WideStepError(NumericalError):
+    """A step too wide for the Krylov path; more steps resolve it."""
+
+
+def _memory_limit() -> float:
+    """Bytes this process may use: the least of physical memory, the
+    address-space limit and the cgroup limit, where those are set."""
+    limits = [_PHYSICAL_MEMORY]
+    if resource is not None:
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    try:
+        text = _CGROUP_MEMORY_MAX.read_text(encoding="ascii").strip()
+        if text != "max":
+            limits.append(int(text))
+    except (OSError, ValueError):
+        pass
+    return min(limits)
+
+
+def _preflight(need: int, n_qubits: int, n_bases: int, order: int) -> None:
+    limit = _memory_limit()
+    if need > limit:
+        raise SizeError(
+            f"{n_qubits} qubits at order {order} with {n_bases} base operators "
+            f"need {need} bytes, more than the {limit} bytes this process may use"
+        )
 
 
 def _step_grid(n_steps: int, kinks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -524,49 +621,54 @@ def _engine_bytes(n_qubits: int, n_bases: int, order: int) -> tuple[int, int]:
     return cache, _CHUNK_ARRAYS * 16 * max(_CHUNK_ELEMENTS, dim2)
 
 
-class _StepEngine:
-    """Cached operators and vectorized per-step generator construction.
+def _krylov_bytes(n_qubits: int, n_bases: int, order: int) -> int:
+    """Bytes of the Krylov path: the Lanczos basis, two work vectors and the
+    two buffers that hold the trie levels, the widest ``n_bases**order`` wide."""
+    vectors = _KRYLOV_MAX_DIM + 3 + n_bases**order + n_bases ** (order - 1)
+    return 16 * vectors * (1 << n_qubits)
+
+
+def _word_weights(c: np.ndarray, order: int) -> np.ndarray:
+    """Per-step weights of the base-operator words in series terms 1..order.
+
+    ``c[m, degree, base]`` are the fit coefficients of step ``m``.  Column
+    ``w`` weighs the product ``B_{x_1} ... B_{x_k}``; words are grouped by
+    length, and within a length ``x_1`` is the most significant digit.
+    """
+    count, _, nb = c.shape
+    flats = []
+    for k, table in enumerate(_series_weights(order), 1):
+        # contract the weight tensor against c one degree index at a time:
+        # r[m, x_1..x_j, d_{j+1}..d_k] stored as (m, nb**j, 3**(k-j))
+        r = np.tensordot(c, table.reshape(3, -1), axes=(1, 0))
+        for j in range(2, k + 1):
+            p = nb ** (j - 1)
+            q = 3 ** (k - j)
+            r = np.einsum("mpdq,mdx->mpxq", r.reshape(count, p, 3, q), c)
+        flats.append(r.reshape(count, nb**k))
+    return np.concatenate(flats, axis=1)
+
+
+class _Engine:
+    """What both step engines share: base count, envelope fits, start state.
 
     The step generator is a linear combination of a handful of fixed base
-    operators (driver, Ising diagonal, optional offsets), so products of up
-    to ``order`` coefficient matrices reduce to cached products of base
-    operators weighted by per-step scalars.  That turns a whole batch of
-    steps into a few einsum/matmul calls plus one batched eigendecomposition.
+    operators (driver, Ising diagonal, optional offsets) with per-step
+    scalar coefficients, so each series term is a weighted sum of products
+    of base operators (:func:`_word_weights`).
     """
 
-    def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None, order: int = 4):
-        self.schedule = schedule
-        self.dim = 1 << model.n_qubits
-        with_offsets = offsets is not None and offsets.any_nonzero()
-        self.n_bases = 3 if with_offsets else 2
-        need = sum(_engine_bytes(model.n_qubits, self.n_bases, order))
-        if need > _PHYSICAL_MEMORY:
-            raise SizeError(
-                f"{model.n_qubits} qubits at order {order} with {self.n_bases} base operators "
-                f"need {need} bytes, more than the {_PHYSICAL_MEMORY} of physical memory"
-            )
-        # products of length 1..order, grouped by length; the bases lead
-        self._products = np.empty((_word_count(self.n_bases, order), self.dim, self.dim))
-        self._levels = 1
-        self.bases = self._products[: self.n_bases]
-        self.bases[0] = schedule.driver_sign * _transverse_cached(model.n_qubits)
-        self.bases[1] = np.diag(ising_diagonal(model))
-        if with_offsets:
-            self.bases[2] = _weighted_flip_matrix(offsets.x) + np.diag(_z_offset_diagonal(offsets))
-        self.psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
+    propagator = ""
 
-    def stacked_products(self, order: int) -> np.ndarray:
-        """All base-word products of length 1..order as one real (words, dim*dim) block."""
-        nb = self.n_bases
-        while self._levels < order:
-            # each product one longer is a product of the last level times a base
-            lo, hi = _word_count(nb, self._levels - 1), _word_count(nb, self._levels)
-            out = self._products[hi : hi + (hi - lo) * nb]
-            np.matmul(self._products[lo:hi, None], self.bases[None],
-                      out=out.reshape(hi - lo, nb, self.dim, self.dim))
-            self._levels += 1
-        return self._products[: _word_count(nb, order)].reshape(-1, self.dim * self.dim)
+    def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
+                 offsets: FieldOffsets | None, order: int):
+        self.schedule = schedule
+        self.order = order
+        self.n_qubits = model.n_qubits
+        self.dim = 1 << model.n_qubits
+        self.with_offsets = offsets is not None and offsets.any_nonzero()
+        self.n_bases = 3 if self.with_offsets else 2
+        self.psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
 
     def fit_scalars(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
         """Per-step coefficients c[m, degree, base] of the step generators."""
@@ -584,23 +686,52 @@ class _StepEngine:
             c[:, 0, 2] = scale
         return c
 
+    def diagnostics(self) -> dict[str, Any]:
+        return {"propagator": self.propagator}
+
+
+class _StepEngine(_Engine):
+    """Dense steps: cached base products, batched generators and eigh.
+
+    Products of up to ``order`` base operators are cached, which turns a
+    whole batch of steps into one matrix product plus one batched
+    eigendecomposition.  Used below ``_KRYLOV_MIN_QUBITS`` and as the
+    reference for the Krylov path.
+    """
+
+    propagator = "dense"
+
+    def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
+                 offsets: FieldOffsets | None, order: int = 4):
+        super().__init__(model, schedule, offsets, order)
+        _preflight(sum(_engine_bytes(model.n_qubits, self.n_bases, order)),
+                   model.n_qubits, self.n_bases, order)
+        # products of length 1..order, grouped by length; the bases lead
+        self._products = np.empty((_word_count(self.n_bases, order), self.dim, self.dim))
+        self._levels = 1
+        self.bases = self._products[: self.n_bases]
+        self.bases[0] = schedule.driver_sign * _transverse_cached(model.n_qubits)
+        self.bases[1] = np.diag(ising_diagonal(model))
+        if self.with_offsets:
+            self.bases[2] = _weighted_flip_matrix(offsets.x) + np.diag(_z_offset_diagonal(offsets))
+
+    def stacked_products(self, order: int) -> np.ndarray:
+        """All base-word products of length 1..order as one real (words, dim*dim) block."""
+        nb = self.n_bases
+        while self._levels < order:
+            # each product one longer is a product of the last level times a base
+            lo, hi = _word_count(nb, self._levels - 1), _word_count(nb, self._levels)
+            out = self._products[hi : hi + (hi - lo) * nb]
+            np.matmul(self._products[lo:hi, None], self.bases[None],
+                      out=out.reshape(hi - lo, nb, self.dim, self.dim))
+            self._levels += 1
+        return self._products[: _word_count(nb, order)].reshape(-1, self.dim * self.dim)
+
     def omega_batch(self, starts: np.ndarray, widths: np.ndarray, tau: float,
                     order: int) -> np.ndarray:
         """Truncated series (terms 1..order) for a batch of steps."""
-        c = self.fit_scalars(starts, widths, tau)
+        weights = _word_weights(self.fit_scalars(starts, widths, tau), order)
         count = starts.size
-        nb = self.n_bases
-        flats = []
-        for k, table in enumerate(_series_weights(order), 1):
-            # contract the weight tensor against c one degree index at a time:
-            # r[m, x_1..x_j, d_{j+1}..d_k] stored as (m, nb**j, 3**(k-j))
-            r = np.tensordot(c, table.reshape(3, -1), axes=(1, 0))
-            for j in range(2, k + 1):
-                p = nb ** (j - 1)
-                q = 3 ** (k - j)
-                r = np.einsum("mpdq,mdx->mpxq", r.reshape(count, p, 3, q), c)
-            flats.append(r.reshape(count, nb**k))
-        weights = np.concatenate(flats, axis=1)
         # real and imaginary weights as the rows of one real matrix, so the
         # real product block is never copied to complex
         parts = np.moveaxis(weights.view(float).reshape(count, -1, 2), -1, 0)
@@ -609,6 +740,23 @@ class _StepEngine:
         omegas.real = re_im[:count].reshape(omegas.shape)
         omegas.imag = re_im[count:].reshape(omegas.shape)
         return omegas
+
+    def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
+        """Final state: the ordered product of the step unitaries applied to psi0."""
+        dim = self.dim
+        total = np.eye(dim, dtype=complex)
+        # the chunk bounds both the dim x dim stacks and the weight contractions
+        chunk = max(1, min(_CHUNK_ELEMENTS // max(dim * dim, 3**self.order), 1 << 16))
+        for lo in range(0, starts.size, chunk):
+            omegas = self.omega_batch(
+                starts[lo : lo + chunk], widths[lo : lo + chunk], tau, self.order
+            )
+            finite = np.isfinite(omegas).all(axis=(1, 2))
+            if not finite.all():
+                bad = lo + int(np.argmin(finite))
+                raise NumericalError(f"non-finite step generator at step index {bad}")
+            total = _ordered_product(_expm_antihermitian(omegas)) @ total
+        return total @ self.psi0
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -621,23 +769,155 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _total_unitary(engine: _StepEngine, starts: np.ndarray, widths: np.ndarray,
-                   tau: float, order: int) -> np.ndarray:
-    dim = engine.dim
-    total = np.eye(dim, dtype=complex)
-    # the chunk bounds both the dim x dim stacks and the weight contractions
-    chunk = max(1, min(_CHUNK_ELEMENTS // max(dim * dim, 3**order), 1 << 16))
-    for lo in range(0, starts.size, chunk):
-        omegas = engine.omega_batch(
-            starts[lo : lo + chunk], widths[lo : lo + chunk], tau, order
-        )
-        finite = np.isfinite(omegas).all(axis=(1, 2))
-        if not finite.all():
-            bad = lo + int(np.argmin(finite))
-            raise NumericalError(f"non-finite step generator at step index {bad}")
-        unitaries = _expm_antihermitian(omegas)
-        total = _ordered_product(unitaries) @ total
-    return total
+def _add_flips(src: np.ndarray, out: np.ndarray, n_qubits: int, weights) -> None:
+    """out += sum_k w_k X_k src, row by row, for the pairs (k, w_k) in ``weights``.
+
+    With the basis index split into one axis per bit, X_k reverses the axis
+    of bit k.
+    """
+    shape = (src.shape[0],) + (2,) * n_qubits
+    s, o = src.reshape(shape), out.reshape(shape)
+    for k, w in weights:
+        flipped = np.flip(s, n_qubits - k)
+        o += flipped if w == 1.0 else w * flipped
+
+
+class _KrylovEngine(_Engine):
+    """Matrix-free steps on the state vector; no dim x dim array is formed.
+
+    ``Omega v`` comes from the base operators alone: the driver as bit
+    flips, the Ising energies and Z offsets as elementwise products, the X
+    offsets as weighted flips.  The words are applied from right to left
+    through a trie, one level per word length, so each word costs one base
+    application on top of its suffix.  ``exp(Omega) psi`` then comes from
+    Lanczos on the Hermitian ``i Omega`` with an a-posteriori stopping test
+    (Park & Light, J. Chem. Phys. 85 (1986) 5870; Hochbruck & Lubich, SIAM
+    J. Numer. Anal. 34 (1997) 1911).
+    """
+
+    propagator = "krylov"
+
+    def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
+                 offsets: FieldOffsets | None, order: int = 4):
+        super().__init__(model, schedule, offsets, order)
+        nb = self.n_bases
+        _preflight(_krylov_bytes(model.n_qubits, nb, order), model.n_qubits, nb, order)
+        self.flips = [(k, 1.0) for k in range(model.n_qubits)]
+        self.diagonal = ising_diagonal(model)
+        if self.with_offsets:
+            self.x_flips = [(k, w) for k, w in enumerate(offsets.x) if w != 0.0]
+            self.z_diagonal = _z_offset_diagonal(offsets)
+        # trie level j lives in buffer (order - j) % 2, so the widest is level order
+        self._levels = (np.empty((nb**order, self.dim), dtype=complex),
+                        np.empty((nb ** (order - 1), self.dim), dtype=complex))
+        self._basis = np.empty((_KRYLOV_MAX_DIM + 1, self.dim), dtype=complex)
+        self._w = np.empty(self.dim, dtype=complex)
+        self.max_krylov_dim = 0
+        self.splits = 0
+
+    def _apply_bases(self, src: np.ndarray, out: np.ndarray) -> None:
+        """out[a*p : (a+1)*p] = B_a src for every base a, src being (p, dim)."""
+        p = src.shape[0]
+        drive = out[:p]
+        drive[...] = 0.0
+        _add_flips(src, drive, self.n_qubits, self.flips)
+        if self.schedule.driver_sign < 0:
+            np.negative(drive, out=drive)
+        np.multiply(src, self.diagonal, out=out[p : 2 * p])
+        if self.with_offsets:
+            offset = out[2 * p : 3 * p]
+            np.multiply(src, self.z_diagonal, out=offset)
+            _add_flips(src, offset, self.n_qubits, self.x_flips)
+
+    def apply_omega(self, weights: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = sum over words w of weights[w] * B_w v."""
+        nb = self.n_bases
+        level = v[None]
+        start = 0
+        for j in range(1, self.order + 1):
+            rows = nb**j
+            suffixes = level
+            level = self._levels[(self.order - j) % 2][:rows]
+            self._apply_bases(suffixes, level)
+            term = weights[start : start + rows] @ level
+            if j == 1:
+                out[...] = term
+            else:
+                out += term
+            start += rows
+        return out
+
+    def _expm(self, h_weights: np.ndarray, psi: np.ndarray, scale: float) -> np.ndarray:
+        """exp(-i scale H) psi for the Hermitian H = i Omega of word weights ``h_weights``."""
+        basis, w = self._basis, self._w
+        cap = _KRYLOV_MAX_DIM
+        alpha = np.zeros(cap)
+        beta = np.zeros(cap)
+        beta0 = np.linalg.norm(psi)
+        if beta0 == 0.0:
+            return psi.copy()
+        np.divide(psi, beta0, out=basis[0])
+        for j in range(cap):
+            self.apply_omega(h_weights, basis[j], w)
+            # full reorthogonalization against the basis so far, repeated when
+            # it cancels most of w (Daniel, Gragg, Kaufman & Stewart 1976)
+            size = np.linalg.norm(w)
+            coeffs = (basis[: j + 1] @ w.conj()).conj()
+            alpha[j] = coeffs[j].real
+            w -= coeffs @ basis[: j + 1]
+            beta[j] = np.linalg.norm(w)
+            if beta[j] < 0.7 * size:
+                w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
+                beta[j] = np.linalg.norm(w)
+            tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, vecs = np.linalg.eigh(tri)
+            y = vecs @ (np.exp(-1j * scale * theta) * vecs[0])
+            # the residual of the Krylov approximation (Saad 1992); a basis
+            # that spans the whole space makes the result exact
+            if beta[j] * abs(y[j]) <= _KRYLOV_TOL or j + 1 == self.dim:
+                self.max_krylov_dim = max(self.max_krylov_dim, j + 1)
+                return beta0 * (y @ basis[: j + 1])
+            np.divide(w, beta[j], out=basis[j + 1])
+        # Past the cap: split the step exactly, exp(-i s H) = exp(-i s H / m)^m,
+        # into sub-steps of spectral half-width _KRYLOV_RADIUS at most.
+        radius = 0.5 * scale * (theta[-1] - theta[0])
+        if radius > _KRYLOV_MAX_RADIUS:
+            raise _WideStepError(
+                f"a step generator has spectral half-width {radius:.3g}, more than the "
+                f"{_KRYLOV_MAX_RADIUS:g} the Krylov path propagates; use more steps"
+            )
+        self.max_krylov_dim = cap
+        self.splits += 1
+        parts = max(2, math.ceil(radius / _KRYLOV_RADIUS))
+        sub = scale / parts
+        # the first sub-step starts from psi, whose Krylov space is built already
+        y = vecs @ (np.exp(-1j * sub * theta) * vecs[0])
+        if beta[-1] * abs(y[-1]) <= _KRYLOV_TOL:
+            psi = beta0 * (y @ basis[:cap])
+        else:
+            psi = self._expm(h_weights, psi, sub)
+        for _ in range(parts - 1):
+            psi = self._expm(h_weights, psi, sub)
+        return psi
+
+    def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
+        """Final state, one Lanczos step at a time."""
+        psi = self.psi0
+        chunk = max(1, min(_CHUNK_ELEMENTS // _word_count(3, self.order), 1 << 16))
+        for lo in range(0, starts.size, chunk):
+            c = self.fit_scalars(starts[lo : lo + chunk], widths[lo : lo + chunk], tau)
+            weights = _word_weights(c, self.order)
+            finite = np.isfinite(weights).all(axis=1)
+            if not finite.all():
+                bad = lo + int(np.argmin(finite))
+                raise NumericalError(f"non-finite step generator at step index {bad}")
+            for h_weights in 1j * weights:
+                psi = self._expm(h_weights, psi, 1.0)
+        return psi
+
+    def diagnostics(self) -> dict[str, Any]:
+        return {"propagator": self.propagator, "krylov_max_dim": self.max_krylov_dim,
+                "krylov_splits": self.splits}
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +962,13 @@ def simulate_fixed(
 ) -> SimulationResult:
     """Propagate with a fixed number of uniform steps.
 
-    The density matrix is advanced as ``U rho U*`` with one unitary per
-    step; since the initial state is pure the implementation propagates the
-    state vector and forms the density matrix at the end, which is
-    observationally identical.  Steps are split at schedule kinks.
+    The density matrix evolves as ``U rho U*`` with one unitary per step.
+    The initial state is pure, so the state vector is propagated instead,
+    which is observationally identical; the result forms the density matrix
+    only when ``rho`` is read.  Steps are split at schedule kinks.  Below
+    seven qubits the step unitaries are dense; from seven on each step acts
+    on the vector by Lanczos, and a step too wide for that (spectral
+    half-width of ``i Omega`` above 250) raises :class:`NumericalError`.
 
     ``order`` is the number of series terms kept: one term converges at
     order 2 in the step width, two or more at order 4, capped there by the
@@ -696,22 +979,29 @@ def simulate_fixed(
         raise ValueError(f"evolution time must be >= 0, got {tau}")
     model, offsets = _prepare(model, offsets)
     starts, widths = _step_grid(n_steps, schedule.kinks)
+    kind = _KrylovEngine if model.n_qubits >= _KRYLOV_MIN_QUBITS else _StepEngine
     try:
-        engine = _StepEngine(model, schedule, offsets, order)
-        total = _total_unitary(engine, starts, widths, tau, order)
+        engine = kind(model, schedule, offsets, order)
+        psi = engine.propagate(starts, widths, tau)
     except MemoryError as exc:
         raise SizeError(f"out of memory at {model.n_qubits} qubits and order {order}") from exc
-    psi = total @ engine.psi0
     if not np.isfinite(psi).all():
         raise NumericalError("non-finite final state")
-    rho = np.outer(psi, psi.conj())
     return SimulationResult(
-        rho=rho,
-        probabilities=np.real(np.diag(rho)).copy(),
+        state=psi,
+        probabilities=(psi * psi.conj()).real,
         steps_used=int(starts.size),
         order=order,
-        metadata={"tau": float(tau), "mode": "fixed"},
+        metadata={"tau": float(tau), "mode": "fixed", **engine.diagnostics()},
     )
+
+
+def _run_level(model, tau, schedule, order, n_steps, offsets) -> SimulationResult | None:
+    """One doubling level, or None where its steps are too wide for the Krylov path."""
+    try:
+        return simulate_fixed(model, tau, schedule, order=order, n_steps=n_steps, offsets=offsets)
+    except _WideStepError:
+        return None
 
 
 def simulate(
@@ -730,7 +1020,8 @@ def simulate(
     Runs fixed-step simulations at ``initial_steps, 2*initial_steps, ...``
     until two successive density matrices agree within both the mean and max
     element-wise tolerances, then returns the finer result together with the
-    full convergence trace.
+    full convergence trace.  Levels that add no step edge to the last one,
+    and levels too coarse for the Krylov path, are skipped, not compared.
     """
     config = SolverConfig(
         order=order,
@@ -741,27 +1032,34 @@ def simulate(
     )
     trace: list[tuple[int, float, float]] = []
     n = config.initial_steps
-    previous = simulate_fixed(model, tau, schedule, order=order, n_steps=n, offsets=offsets)
+    previous = _run_level(model, tau, schedule, order, n, offsets)
     for _ in range(config.max_doublings):
         n *= 2
-        current = simulate_fixed(model, tau, schedule, order=order, n_steps=n, offsets=offsets)
-        e_max = error_max(previous.rho, current.rho)
-        e_mean = error_mean(previous.rho, current.rho)
-        trace.append((n, e_max, e_mean))
-        if e_max <= config.max_tol and e_mean <= config.mean_tol:
-            return SimulationResult(
-                rho=current.rho,
-                probabilities=current.probabilities,
-                steps_used=current.steps_used,
-                order=order,
-                convergence_trace=trace,
-                metadata={"tau": float(tau), "mode": "adaptive",
-                          "mean_tol": mean_tol, "max_tol": max_tol},
-            )
+        # Each level's edges contain the last one's, so an equal count means
+        # equal edges: kinks can fill every new uniform edge.  That level would
+        # repeat the last result and fake convergence; double again instead.
+        if previous is not None and _step_grid(n, schedule.kinks)[0].size == previous.steps_used:
+            continue
+        current = _run_level(model, tau, schedule, order, n, offsets)
+        if previous is not None and current is not None:
+            e_max = error_max(previous.state, current.state)
+            e_mean = error_mean(previous.state, current.state)
+            trace.append((n, e_max, e_mean))
+            if e_max <= config.max_tol and e_mean <= config.mean_tol:
+                return SimulationResult(
+                    state=current.state,
+                    probabilities=current.probabilities,
+                    steps_used=current.steps_used,
+                    order=order,
+                    convergence_trace=trace,
+                    metadata={**current.metadata, "mode": "adaptive",
+                              "mean_tol": mean_tol, "max_tol": max_tol},
+                )
         previous = current
+    last = f", E_max={trace[-1][1]:.3e}, E_mean={trace[-1][2]:.3e}" if trace else ""
     raise ConvergenceError(
         f"step doubling did not converge within {config.max_doublings} doublings "
-        f"(last n_steps={n}, E_max={trace[-1][1]:.3e}, E_mean={trace[-1][2]:.3e})",
+        f"(last n_steps={n}{last})",
         trace,
     )
 
@@ -884,7 +1182,7 @@ def simulate_reference_rk(
     rho = rho / trace_value
     rho = 0.5 * (rho + rho.conj().T)
     return SimulationResult(
-        rho=rho,
+        state=rho,
         probabilities=np.real(np.diag(rho)).copy(),
         steps_used=n_steps,
         order=4,

@@ -309,9 +309,14 @@ class TestBatchedEngine:
 
 
 class TestMemoryPreflight:
-    def test_oversized_engine_raises_before_allocating(self, circular):
+    def test_oversized_engine_raises_before_allocating(self, circular, monkeypatch):
         import time
 
+        import annealsim.magnus as magnus_mod
+
+        # the Krylov path's widest trie level alone is 3**8 * 2**16 * 16 bytes,
+        # 6.9 GB; pin the limit so the outcome does not depend on the machine
+        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 8 << 30)
         chain = {(i, i + 1): 1.0 for i in range(1, 16)}
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 16, z=[0.1] * 16, n_qubits=16)
         start = time.perf_counter()
@@ -348,6 +353,39 @@ class TestMemoryPreflight:
             qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, n_steps=4)
 
 
+    @pytest.mark.parametrize("n_qubits", [5, 7])
+    def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, n_qubits):
+        import annealsim.magnus as magnus_mod
+
+        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 1 << 16)
+        chain = {(i, i + 1): 1.0 for i in range(1, n_qubits)}
+        with pytest.raises(qa.SizeError, match=f"{n_qubits} qubits at order 4 with 2 base"):
+            qa.simulate_fixed(chain, 1.0, circular, n_steps=1)
+
+    def test_krylov_estimate_counts_basis_and_trie(self):
+        from annealsim.magnus import _KRYLOV_MAX_DIM, _krylov_bytes
+
+        assert _krylov_bytes(16, 3, 8) >= 3**8 * 2**16 * 16
+        assert _krylov_bytes(9, 2, 4) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 2**4 + 2**3)
+
+    def test_limit_is_the_least_of_memory_rlimit_and_cgroup(self, monkeypatch, tmp_path):
+        import annealsim.magnus as magnus_mod
+
+        resource = pytest.importorskip("resource")
+        cgroup = tmp_path / "memory.max"
+        monkeypatch.setattr(magnus_mod, "_CGROUP_MEMORY_MAX", cgroup)
+        monkeypatch.setattr(magnus_mod, "_PHYSICAL_MEMORY", 8 << 30)
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+        assert magnus_mod._memory_limit() == 8 << 30  # no cgroup file, no rlimit
+        cgroup.write_text("max\n")
+        assert magnus_mod._memory_limit() == 8 << 30
+        cgroup.write_text("3221225472\n")
+        assert magnus_mod._memory_limit() == 3 << 30
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
+        assert magnus_mod._memory_limit() == 1 << 30
+
+
 class TestErrorMetrics:
     def test_identical(self):
         rho = np.eye(2) / 2
@@ -364,6 +402,21 @@ class TestErrorMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             qa.error_max(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("block", [1 << 18, 5])
+    def test_state_vectors_compare_as_their_density_matrices(self, monkeypatch, block):
+        import annealsim.magnus as magnus_mod
+
+        monkeypatch.setattr(magnus_mod, "_COMPARE_BLOCK", block)
+        rng = np.random.default_rng(5)
+        psi, phi = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
+        psi, phi = psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)
+        rho, sigma = np.outer(psi, psi.conj()), np.outer(phi, phi.conj())
+        assert qa.error_max(psi, phi) == pytest.approx(qa.error_max(rho, sigma), rel=1e-15)
+        assert qa.error_mean(psi, phi) == pytest.approx(qa.error_mean(rho, sigma), rel=1e-14)
+        assert qa.error_max(psi, psi * 1j) <= 1e-15  # a global phase is no difference
+        with pytest.raises(ValueError):
+            qa.error_max(psi, rho)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import annealsim as qa
+import annealsim.magnus as magnus_mod
+from conftest import random_model
 
 
 def slope_above_floor(ns, ds, floor=1e-12):
@@ -193,6 +197,26 @@ class TestAdaptive:
             <= 1e-6
         )
 
+    def test_levels_with_no_new_edge_are_not_compared(self, tmp_path):
+        # A 37-node table of the D-Wave envelopes with every interior node a
+        # kink: 1/4, 1/2 and 3/4 are nodes, so the 2- and 4-step grids are the
+        # same 36 segments, and comparing them would accept a state that is
+        # 0.2 away in trace distance.
+        nodes = np.linspace(0.0, 1.0, 37)
+        path = tmp_path / "dw.csv"
+        qa.save_schedule_csv(qa.builtin_schedule("dw_quadratic"), path, s_grid=nodes)
+        table = qa.load_schedule_csv(path, driver_sign=-1)
+        sched = qa.AnnealingSchedule(A=table.A, B=table.B, driver_sign=-1,
+                                     kinks=tuple(nodes[1:-1]))
+        rng = np.random.default_rng(1)
+        glass = {pair: float(rng.choice((-1.0, 1.0)))
+                 for pair in itertools.combinations(range(1, 6), 2)}
+        glass.update({(i,): float(rng.choice((-0.5, 0.5))) for i in range(1, 6)})
+        result = qa.simulate(glass, 5.0, sched)
+        fine = qa.simulate_fixed(glass, 5.0, sched, n_steps=2048)
+        assert result.steps_used > 36
+        assert qa.trace_distance(result.rho, fine.rho) <= 1e-6
+
     def test_trace_entries_record_doubling(self, circular):
         result = qa.simulate(qa.single_field_model(), 5.0, circular, initial_steps=4)
         ns = [entry[0] for entry in result.convergence_trace]
@@ -284,3 +308,118 @@ class TestKinkHandling:
         magnus = qa.simulate_fixed(model, 0.5, sched, order=4, n_steps=1024)
         rk = qa.simulate_reference_rk(model, 0.5, sched, n_steps=200_000)
         assert qa.trace_distance(magnus.rho, rk.rho) <= 1e-8
+
+
+def _propagate(monkeypatch, path, *args, **kwargs):
+    """simulate_fixed forced onto the dense or the Krylov path."""
+    monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_QUBITS", 1 if path == "krylov" else 99)
+    result = qa.simulate_fixed(*args, **kwargs)
+    assert result.metadata["propagator"] == path
+    return result
+
+
+def _offsets(rng, n_qubits):
+    return qa.FieldOffsets.from_vectors(x=0.3 * rng.normal(size=n_qubits),
+                                        z=0.3 * rng.normal(size=n_qubits))
+
+
+# (qubits, order, with offsets, driver sign): every order, both offset cases
+# and both signs at 3 and 5 qubits; order 4 from 4 to 8 qubits; orders 6 and
+# 8 without offsets at 7 and 8 qubits, where the dense cache stays small
+KRYLOV_CASES = (
+    [(n, order, off, sign) for n in (3, 5) for order in (1, 2, 4, 6, 8)
+     for off in (False, True) for sign in (1, -1)]
+    + [(n, 4, off, sign) for n in (4, 6, 7, 8) for off in (False, True) for sign in (1, -1)]
+    + [(n, order, False, 1) for n in (7, 8) for order in (6, 8)]
+)
+
+
+class TestKrylovPath:
+    @pytest.mark.parametrize("n_qubits, order, with_offsets, sign", KRYLOV_CASES)
+    def test_matches_dense(self, monkeypatch, n_qubits, order, with_offsets, sign):
+        rng = np.random.default_rng(100 * n_qubits + order)
+        model = random_model(rng, n_qubits)
+        offsets = _offsets(rng, n_qubits) if with_offsets else None
+        sched = qa.builtin_schedule("dw_quadratic", driver_sign=sign)
+        # resolved steps (|Omega| up to about 12): the rounding of the word
+        # expansion grows with |Omega| on both paths
+        args = (model, 0.25, sched)
+        kwargs = {"order": order, "n_steps": 16, "offsets": offsets}
+        dense = _propagate(monkeypatch, "dense", *args, **kwargs)
+        krylov = _propagate(monkeypatch, "krylov", *args, **kwargs)
+        assert qa.trace_distance(dense.rho, krylov.rho) <= 1e-13
+        assert np.abs(dense.probabilities - krylov.probabilities).max() <= 1e-13
+
+    def test_wide_step_is_split(self, monkeypatch, circular):
+        from annealsim.magnus import _StepEngine
+
+        model = random_model(np.random.default_rng(7), 7)
+        tau = 4.0
+        omega = _StepEngine(model, circular, None).omega_batch(
+            np.array([0.0]), np.array([1.0]), tau, 4)[0]
+        assert np.abs(np.linalg.eigvalsh(1j * omega)).max() >= 30
+        dense = _propagate(monkeypatch, "dense", model, tau, circular, n_steps=1)
+        krylov = _propagate(monkeypatch, "krylov", model, tau, circular, n_steps=1)
+        assert krylov.metadata["krylov_splits"] >= 1
+        assert krylov.metadata["krylov_max_dim"] == magnus_mod._KRYLOV_MAX_DIM
+        assert qa.trace_distance(dense.rho, krylov.rho) <= 1e-13
+
+    def test_too_wide_step_is_refused_and_skipped_by_doubling(self, monkeypatch, circular):
+        model = random_model(np.random.default_rng(8), 7)
+        monkeypatch.setattr(magnus_mod, "_KRYLOV_MAX_RADIUS", 2.0)
+        with pytest.raises(qa.NumericalError, match="use more steps"):
+            qa.simulate_fixed(model, 10.0, circular, n_steps=1)
+        result = qa.simulate(model, 10.0, circular, initial_steps=1)
+        # the levels whose steps were refused left no comparison behind
+        assert result.convergence_trace[0][0] > 4
+        dense = _propagate(monkeypatch, "dense", model, 10.0, circular,
+                           n_steps=result.steps_used)
+        assert qa.trace_distance(dense.rho, result.rho) <= 1e-13
+
+    def test_one_step_matches_expm_multiply(self, monkeypatch, circular):
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        from annealsim.magnus import _StepEngine
+
+        model = random_model(np.random.default_rng(9), 5)
+        offsets = _offsets(np.random.default_rng(10), 5)
+        engine = _StepEngine(model, circular, offsets)
+        omega = engine.omega_batch(np.array([0.0]), np.array([1.0]), 3.0, 4)[0]
+        expected = linalg.expm_multiply(omega, engine.psi0)
+        krylov = _propagate(monkeypatch, "krylov", model, 3.0, circular, n_steps=1,
+                            offsets=offsets)
+        assert np.abs(krylov.state - expected).max() <= 1e-13
+
+    def test_thirteen_qubits_form_no_density_matrix(self, linear):
+        import tracemalloc
+
+        model = random_model(np.random.default_rng(13), 13)
+        tracemalloc.start()
+        try:
+            result = qa.simulate_fixed(model, 0.1, linear, n_steps=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dim = 1 << 13
+        # one complex dim x dim array would take 1 GiB
+        assert peak < dim * dim
+        assert peak < 64 << 20
+        assert "rho" not in vars(result)
+        assert result.state.shape == (dim,)
+        assert result.metadata["propagator"] == "krylov"
+        assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_propagator_reported(self, circular):
+        dense = qa.simulate_fixed(random_model(np.random.default_rng(1), 5), 1.0, circular,
+                                  n_steps=4)
+        krylov = qa.simulate(random_model(np.random.default_rng(2), 7), 0.5, circular)
+        assert dense.metadata["propagator"] == "dense"
+        assert "krylov_max_dim" not in dense.metadata
+        assert krylov.metadata["propagator"] == "krylov"
+        assert 1 <= krylov.metadata["krylov_max_dim"] <= magnus_mod._KRYLOV_MAX_DIM
+
+    def test_rho_formed_on_first_read(self, five_spin, circular):
+        result = qa.simulate_fixed(five_spin, 1.0, circular, n_steps=4)
+        assert "rho" not in vars(result)
+        rho = result.rho
+        assert rho is result.rho
+        assert np.array_equal(rho, np.outer(result.state, result.state.conj()))
