@@ -3,15 +3,15 @@
 Operators act on ``n`` qubits with the little-endian index convention of
 :mod:`annealsim.encoding`: qubit ``i`` flips bit ``i - 1`` of the basis-state
 index.  The longitudinal (Ising) part is diagonal in the Z basis and is kept
-as a length ``2**n`` vector; only the assembled ``H(s)`` is materialized as a
-dense matrix.
+as a length ``2**n`` vector.  Every dense ``H(s)``, and every step generator
+of the Magnus and RK4 paths, is a combination of one stack of fixed operators
+(:func:`_base_operators`, :func:`_combine`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -147,28 +147,16 @@ def _spin_table(n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.float64)
 
 
-@lru_cache(maxsize=None)
-def _transverse_cached(n: int) -> np.ndarray:
-    dim = 1 << n
-    m = np.zeros((dim, dim))
-    v = np.arange(dim)
-    for k in range(n):
-        m[v, v ^ (1 << k)] = 1.0
-    m.setflags(write=False)
-    return m
-
-
 def transverse_matrix(n_qubits: int) -> np.ndarray:
     """Sum of Pauli-X operators over all qubits as a dense symmetric matrix."""
     _validate_qubit_count(n_qubits)
-    return _transverse_cached(int(n_qubits)).copy()
+    return _weighted_flip_matrix([1.0] * int(n_qubits))
 
 
-def _weighted_flip_matrix(weights: Sequence[float]) -> np.ndarray:
-    # sum_i w_i * sigma_i^x
-    n = len(weights)
-    dim = 1 << n
-    m = np.zeros((dim, dim))
+def _weighted_flip_matrix(weights: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
+    # sum_i w_i * sigma_i^x, added to ``out`` where one is given
+    dim = 1 << len(weights)
+    m = np.zeros((dim, dim)) if out is None else out
     v = np.arange(dim)
     for k, w in enumerate(weights):
         if w != 0.0:
@@ -209,6 +197,55 @@ def _check_offsets(offsets: FieldOffsets | None, n_qubits: int) -> FieldOffsets 
     return offsets
 
 
+def _eval_envelope(fn, points: np.ndarray) -> np.ndarray:
+    """An envelope at every point of an array, by one call where it takes arrays."""
+    try:
+        out = np.asarray(fn(points), dtype=float)
+        if out.shape == points.shape:
+            return out
+    except Exception:
+        pass
+    return np.array([float(fn(float(x))) for x in points])
+
+
+def _base_operators(n_qubits: int, driver_sign: int, diagonal: np.ndarray,
+                    offsets: FieldOffsets | None) -> np.ndarray:
+    """The real stack ``sign * H_x``, ``diag(E)`` and, with nonzero offsets,
+    their constant field: ``H(s)`` weighs them by ``A(s)``, ``B(s)`` and 1."""
+    dim = 1 << n_qubits
+    with_offsets = offsets is not None and offsets.any_nonzero()
+    # filled in place, so that no dim x dim temporary is made
+    operators = np.zeros((3 if with_offsets else 2, dim, dim))
+    _weighted_flip_matrix([float(driver_sign)] * n_qubits, out=operators[0])
+    idx = np.arange(dim)
+    operators[1, idx, idx] = diagonal
+    if with_offsets:
+        _weighted_flip_matrix(offsets.x, out=operators[2])
+        operators[2, idx, idx] = _z_offset_diagonal(offsets)
+    return operators
+
+
+def _combine(coeffs: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """``sum_b coeffs[:, b] * operators[b]``; real operators are never copied
+    to complex."""
+    ops = operators.reshape(operators.shape[0], -1)
+    shape = coeffs.shape[:1] + operators.shape[1:]
+    if not np.iscomplexobj(coeffs):
+        return (coeffs @ ops).reshape(shape)
+    re_im = (np.concatenate([coeffs.real, coeffs.imag]) @ ops).reshape((2,) + shape)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = re_im
+    return out
+
+
+def _hamiltonian_stack(operators: np.ndarray, schedule, s: np.ndarray) -> np.ndarray:
+    """``H(s)`` at every point of the array ``s``."""
+    coeffs = np.ones((s.size, operators.shape[0]))
+    coeffs[:, 0] = _eval_envelope(schedule.A, s)
+    coeffs[:, 1] = _eval_envelope(schedule.B, s)
+    return _combine(coeffs, operators)
+
+
 def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = None) -> np.ndarray:
     """Dense ``H(s)`` for a model, schedule and normalized time ``s`` in [0, 1].
 
@@ -219,13 +256,9 @@ def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = Non
         raise ValueError(f"s must lie in [0, 1], got {s}")
     model = IsingModel.from_terms(model)
     offsets = _check_offsets(offsets, model.n_qubits)
-    a = float(schedule.A(s))
-    b = float(schedule.B(s))
-    h = schedule.driver_sign * a * _transverse_cached(model.n_qubits)
-    h = h + np.diag(b * ising_diagonal(model))
-    if offsets is not None and offsets.any_nonzero():
-        h = h + _weighted_flip_matrix(offsets.x) + np.diag(_z_offset_diagonal(offsets))
-    return h
+    operators = _base_operators(model.n_qubits, schedule.driver_sign,
+                                ising_diagonal(model), offsets)
+    return _hamiltonian_stack(operators, schedule, np.array([float(s)]))[0]
 
 
 def eigenspectrum(
@@ -244,24 +277,12 @@ def eigenspectrum(
         raise ValueError("s_grid values must lie in [0, 1]")
 
     dim = 1 << model.n_qubits
-    hx = _transverse_cached(model.n_qubits)
-    diag = ising_diagonal(model)
-    static = None
-    if offsets is not None and offsets.any_nonzero():
-        static = _weighted_flip_matrix(offsets.x)
-        diag_off = _z_offset_diagonal(offsets)
+    operators = _base_operators(model.n_qubits, schedule.driver_sign,
+                                ising_diagonal(model), offsets)
     levels = np.empty((grid.size, dim))
     chunk = max(1, (1 << 22) // (dim * dim))
-    idx = np.arange(dim)
     for lo in range(0, grid.size, chunk):
-        pts = grid[lo : lo + chunk]
-        a = np.asarray([float(schedule.A(s)) for s in pts])
-        b = np.asarray([float(schedule.B(s)) for s in pts])
-        stack = schedule.driver_sign * a[:, None, None] * hx
-        stack[:, idx, idx] += b[:, None] * diag
-        if static is not None:
-            stack += static
-            stack[:, idx, idx] += diag_off
+        stack = _hamiltonian_stack(operators, schedule, grid[lo : lo + chunk])
         levels[lo : lo + chunk] = np.linalg.eigvalsh(stack)
     return SpectrumResult(s_grid=grid, levels=levels)
 

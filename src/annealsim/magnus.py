@@ -17,11 +17,12 @@ iterated-integral form, in exact rational weights) and :func:`omega_recursive`
 cross-agreement of the paths on random inputs is the main correctness gate of
 the package, see the test suite.
 
-Below seven qubits step propagators are exponentiated through the
-eigendecomposition of the Hermitian matrix ``i * Omega``; from seven qubits on
-``exp(Omega) psi`` is computed by Lanczos without forming any ``dim x dim``
-matrix.  Either way every step is unitary to roundoff, so the state stays
-physical even at grossly insufficient step counts.
+One loop propagates the state vector step by step (:meth:`_Engine.propagate`).
+Below seven qubits each step applies ``exp(Omega) = V exp(-i Lambda) V*``
+from the eigendecomposition of the Hermitian matrix ``i * Omega``; from seven
+qubits on ``exp(Omega) psi`` is computed by Lanczos without forming any
+``dim x dim`` matrix.  Either way every step is unitary to roundoff, so the
+state stays physical even at grossly insufficient step counts.
 """
 
 from __future__ import annotations
@@ -48,13 +49,16 @@ from .errors import ConvergenceError, NumericalError, SizeError, SolverConfigErr
 from .hamiltonian import (
     FieldOffsets,
     IsingModel,
+    _base_operators,
     _check_offsets,
-    _transverse_cached,
-    _weighted_flip_matrix,
+    _combine,
+    _eval_envelope,
+    _hamiltonian_stack,
+    _spin_table,
     _z_offset_diagonal,
     ising_diagonal,
 )
-from .schedule import AnnealingSchedule, ALL_MINUS
+from .schedule import AnnealingSchedule, ALL_MINUS, _unit_quadratic
 
 MAX_ORDER = 8
 
@@ -370,13 +374,12 @@ def _series_weights(order: int) -> tuple[np.ndarray, ...]:
 # exponentiation
 
 
-def _expm_antihermitian(omegas: np.ndarray) -> np.ndarray:
-    """exp() of a stack of anti-Hermitian matrices via Hermitian eigh."""
-    # i * Omega, symmetrized: eigh sees an exactly Hermitian input
-    herm = 0.5j * (omegas - np.conj(np.swapaxes(omegas, -1, -2)))
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    phases = np.exp(-1j * eigvals)
-    return (eigvecs * phases[..., None, :]) @ np.conj(np.swapaxes(eigvecs, -1, -2))
+def _eigh_antihermitian(omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of ``i * Omega``, symmetrized so that eigh sees an exactly
+    Hermitian input; overwrites ``omegas``."""
+    omegas -= np.conj(np.swapaxes(omegas, -1, -2))
+    omegas *= 0.5j
+    return np.linalg.eigh(omegas)
 
 
 def exponentiate_omega(omega: np.ndarray) -> np.ndarray:
@@ -385,7 +388,7 @@ def exponentiate_omega(omega: np.ndarray) -> np.ndarray:
     ``i * Omega`` is Hermitian, so the exponential comes from its
     eigendecomposition and is unitary to roundoff by construction.
     """
-    omega = np.asarray(omega, dtype=complex)
+    omega = np.array(omega, dtype=complex)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {omega.shape}")
     defect = np.abs(omega + omega.conj().T).max()
@@ -394,7 +397,8 @@ def exponentiate_omega(omega: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds 1.0e-10 * {scale:.3e}"
         )
-    return _expm_antihermitian(omega)
+    eigvals, eigvecs = _eigh_antihermitian(omega)
+    return (eigvecs * np.exp(-1j * eigvals)) @ eigvecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +528,9 @@ class SweepPoint:
 # step engines
 
 _CHUNK_ELEMENTS = 1 << 21  # per-chunk working-set bound (matrix elements)
-# complex arrays of a chunk's size alive at once while a chunk is exponentiated
-_CHUNK_ARRAYS = 8
+# complex arrays of a chunk's size alive at once while a dense chunk advances
+# (measured with ru_maxrss: 2.0-2.3 at 3-8 qubits)
+_CHUNK_ARRAYS = 3
 _PHYSICAL_MEMORY = (
     os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else math.inf
 )
@@ -588,37 +593,41 @@ def _step_grid(n_steps: int, kinks: Sequence[float]) -> tuple[np.ndarray, np.nda
 
 
 def _initial_state(n_qubits: int, kind: str) -> np.ndarray:
-    dim = 1 << n_qubits
-    if kind == ALL_MINUS:
-        v = np.arange(dim)
-        parity = np.bitwise_count(v) if hasattr(np, "bitwise_count") else np.array(
-            [bin(x).count("1") for x in v]
-        )
-        amps = np.where(parity % 2 == 0, 1.0, -1.0)
-    else:
-        amps = np.ones(dim)
-    return amps.astype(complex) / math.sqrt(dim)
+    # all |-> has amplitude (-1)**(number of set bits), the product of the spins
+    amps = _spin_table(n_qubits).prod(axis=1) if kind == ALL_MINUS else np.ones(1 << n_qubits)
+    return amps.astype(complex) / math.sqrt(1 << n_qubits)
 
 
-def _eval_envelope(fn, points: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(points), dtype=float)
-        if out.shape == points.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(float(x))) for x in points])
+def _fit_steps(schedule: AnnealingSchedule, n_bases: int, starts: np.ndarray,
+               widths: np.ndarray, tau: float) -> np.ndarray:
+    """Per-step coefficients c[m, degree, base] of the step generators."""
+    count = starts.size
+    nodes = np.concatenate([starts, starts + 0.5 * widths, starts + widths])
+    c = np.zeros((count, 3, n_bases), dtype=complex)
+    scale = (-1j * tau) * widths
+    for col, fn in ((0, schedule.A), (1, schedule.B)):
+        values = _eval_envelope(fn, nodes).reshape(3, count)
+        for degree, coeff in enumerate(_unit_quadratic(*values)):
+            c[:, degree, col] = scale * coeff
+    if n_bases == 3:
+        c[:, 0, 2] = scale
+    return c
 
 
 def _word_count(n_bases: int, order: int) -> int:
     return sum(n_bases**k for k in range(1, order + 1))
 
 
-def _engine_bytes(n_qubits: int, n_bases: int, order: int) -> tuple[int, int]:
-    """Bytes of the product cache (bases included) and of one chunk's working set."""
+def _chunk_steps(step_elements: int, order: int) -> int:
+    """Steps per chunk; it bounds both the per-step arrays and the weights."""
+    return max(1, min(_CHUNK_ELEMENTS // max(step_elements, _word_count(3, order)), 1 << 16))
+
+
+def _engine_bytes(n_qubits: int, n_bases: int, order: int, steps: int) -> tuple[int, int]:
+    """Bytes of the product cache (bases included) and of a run's largest chunk."""
     dim2 = 1 << (2 * n_qubits)
     cache = _word_count(n_bases, order) * dim2 * 8
-    return cache, _CHUNK_ARRAYS * 16 * max(_CHUNK_ELEMENTS, dim2)
+    return cache, _CHUNK_ARRAYS * 16 * min(steps, _chunk_steps(dim2, order)) * dim2
 
 
 def _krylov_bytes(n_qubits: int, n_bases: int, order: int) -> int:
@@ -650,41 +659,47 @@ def _word_weights(c: np.ndarray, order: int) -> np.ndarray:
 
 
 class _Engine:
-    """What both step engines share: base count, envelope fits, start state.
+    """The propagation loop of both step engines, with fits and start state.
 
     The step generator is a linear combination of a handful of fixed base
     operators (driver, Ising diagonal, optional offsets) with per-step
     scalar coefficients, so each series term is a weighted sum of products
-    of base operators (:func:`_word_weights`).
+    of base operators (:func:`_word_weights`).  An engine supplies how a
+    chunk of those weights advances the state, and its memory estimate.
     """
 
     propagator = ""
+    step_elements = 0
 
     def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None, order: int):
+                 offsets: FieldOffsets | None, order: int, steps: int = 1):
         self.schedule = schedule
         self.order = order
         self.n_qubits = model.n_qubits
         self.dim = 1 << model.n_qubits
         self.with_offsets = offsets is not None and offsets.any_nonzero()
         self.n_bases = 3 if self.with_offsets else 2
+        _preflight(self.memory_bytes(steps), model.n_qubits, self.n_bases, order)
+        self.diagonal = ising_diagonal(model)
         self.psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
 
-    def fit_scalars(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
-        """Per-step coefficients c[m, degree, base] of the step generators."""
-        nodes = np.concatenate([starts, starts + 0.5 * widths, starts + widths])
-        count = starts.size
-        c = np.zeros((count, 3, self.n_bases), dtype=complex)
-        scale = (-1j * tau) * widths
-        for col, fn in ((0, self.schedule.A), (1, self.schedule.B)):
-            values = _eval_envelope(fn, nodes)
-            f0, fm, f1 = values[:count], values[count : 2 * count], values[2 * count :]
-            c[:, 0, col] = scale * f0
-            c[:, 1, col] = scale * (-3.0 * f0 + 4.0 * fm - f1)
-            c[:, 2, col] = scale * (2.0 * f0 - 4.0 * fm + 2.0 * f1)
-        if self.n_bases == 3:
-            c[:, 0, 2] = scale
-        return c
+    def weights(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
+        """Word weights (steps, words) of the generators of a batch of steps."""
+        c = _fit_steps(self.schedule, self.n_bases, starts, widths, tau)
+        return _word_weights(c, self.order)
+
+    def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
+        """Final state: psi0 advanced through every step, a chunk at a time."""
+        psi = self.psi0
+        chunk = _chunk_steps(self.step_elements, self.order)
+        for lo in range(0, starts.size, chunk):
+            weights = self.weights(starts[lo : lo + chunk], widths[lo : lo + chunk], tau)
+            finite = np.isfinite(weights).all(axis=1)
+            if not finite.all():
+                bad = lo + int(np.argmin(finite))
+                raise NumericalError(f"non-finite step generator at step index {bad}")
+            psi = self.advance(weights, psi)
+        return psi
 
     def diagnostics(self) -> dict[str, Any]:
         return {"propagator": self.propagator}
@@ -694,26 +709,27 @@ class _StepEngine(_Engine):
     """Dense steps: cached base products, batched generators and eigh.
 
     Products of up to ``order`` base operators are cached, which turns a
-    whole batch of steps into one matrix product plus one batched
-    eigendecomposition.  Used below ``_KRYLOV_MIN_QUBITS`` and as the
-    reference for the Krylov path.
+    whole chunk of steps into one matrix product plus one batched
+    eigendecomposition; each step then acts on the state vector, and no
+    product of step unitaries is formed.  Used below ``_KRYLOV_MIN_QUBITS``
+    and as the reference for the Krylov path.
     """
 
     propagator = "dense"
 
     def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None, order: int = 4):
-        super().__init__(model, schedule, offsets, order)
-        _preflight(sum(_engine_bytes(model.n_qubits, self.n_bases, order)),
-                   model.n_qubits, self.n_bases, order)
+                 offsets: FieldOffsets | None, order: int = 4, steps: int = 1):
+        super().__init__(model, schedule, offsets, order, steps)
+        self.step_elements = self.dim * self.dim
         # products of length 1..order, grouped by length; the bases lead
         self._products = np.empty((_word_count(self.n_bases, order), self.dim, self.dim))
         self._levels = 1
         self.bases = self._products[: self.n_bases]
-        self.bases[0] = schedule.driver_sign * _transverse_cached(model.n_qubits)
-        self.bases[1] = np.diag(ising_diagonal(model))
-        if self.with_offsets:
-            self.bases[2] = _weighted_flip_matrix(offsets.x) + np.diag(_z_offset_diagonal(offsets))
+        self.bases[...] = _base_operators(model.n_qubits, schedule.driver_sign,
+                                          self.diagonal, offsets)
+
+    def memory_bytes(self, steps: int) -> int:
+        return sum(_engine_bytes(self.n_qubits, self.n_bases, self.order, steps))
 
     def stacked_products(self, order: int) -> np.ndarray:
         """All base-word products of length 1..order as one real (words, dim*dim) block."""
@@ -727,46 +743,19 @@ class _StepEngine(_Engine):
             self._levels += 1
         return self._products[: _word_count(nb, order)].reshape(-1, self.dim * self.dim)
 
-    def omega_batch(self, starts: np.ndarray, widths: np.ndarray, tau: float,
-                    order: int) -> np.ndarray:
-        """Truncated series (terms 1..order) for a batch of steps."""
-        weights = _word_weights(self.fit_scalars(starts, widths, tau), order)
-        count = starts.size
-        # real and imaginary weights as the rows of one real matrix, so the
-        # real product block is never copied to complex
-        parts = np.moveaxis(weights.view(float).reshape(count, -1, 2), -1, 0)
-        re_im = parts.reshape(2 * count, -1) @ self.stacked_products(order)
-        omegas = np.empty((count, self.dim, self.dim), dtype=complex)
-        omegas.real = re_im[:count].reshape(omegas.shape)
-        omegas.imag = re_im[count:].reshape(omegas.shape)
-        return omegas
+    def generators(self, weights: np.ndarray) -> np.ndarray:
+        """Step generators (steps, dim, dim) from their word weights."""
+        return _combine(weights, self.stacked_products(self.order)).reshape(-1, self.dim, self.dim)
 
-    def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
-        """Final state: the ordered product of the step unitaries applied to psi0."""
-        dim = self.dim
-        total = np.eye(dim, dtype=complex)
-        # the chunk bounds both the dim x dim stacks and the weight contractions
-        chunk = max(1, min(_CHUNK_ELEMENTS // max(dim * dim, 3**self.order), 1 << 16))
-        for lo in range(0, starts.size, chunk):
-            omegas = self.omega_batch(
-                starts[lo : lo + chunk], widths[lo : lo + chunk], tau, self.order
-            )
-            finite = np.isfinite(omegas).all(axis=(1, 2))
-            if not finite.all():
-                bad = lo + int(np.argmin(finite))
-                raise NumericalError(f"non-finite step generator at step index {bad}")
-            total = _ordered_product(_expm_antihermitian(omegas)) @ total
-        return total @ self.psi0
-
-
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] by pairwise tree reduction."""
-    while mats.shape[0] > 1:
-        m = mats.shape[0]
-        even = m - (m % 2)
-        paired = np.matmul(mats[1:even:2], mats[0:even:2])
-        mats = np.concatenate([paired, mats[even:]]) if m % 2 else paired
-    return mats[0]
+    def advance(self, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """psi through each step as ``V (exp(-i lambda) (V* psi))``."""
+        eigvals, eigvecs = _eigh_antihermitian(self.generators(weights))
+        # the phases folded into V once per chunk, so a step is two matvecs
+        phased = eigvecs * np.exp(-1j * eigvals)[:, None, :]
+        np.conjugate(eigvecs, out=eigvecs)
+        for conj_v, v_phased in zip(eigvecs, phased):
+            psi = v_phased @ (psi @ conj_v)
+        return psi
 
 
 def _add_flips(src: np.ndarray, out: np.ndarray, n_qubits: int, weights) -> None:
@@ -798,12 +787,10 @@ class _KrylovEngine(_Engine):
     propagator = "krylov"
 
     def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None, order: int = 4):
-        super().__init__(model, schedule, offsets, order)
+                 offsets: FieldOffsets | None, order: int = 4, steps: int = 1):
+        super().__init__(model, schedule, offsets, order, steps)
         nb = self.n_bases
-        _preflight(_krylov_bytes(model.n_qubits, nb, order), model.n_qubits, nb, order)
         self.flips = [(k, 1.0) for k in range(model.n_qubits)]
-        self.diagonal = ising_diagonal(model)
         if self.with_offsets:
             self.x_flips = [(k, w) for k, w in enumerate(offsets.x) if w != 0.0]
             self.z_diagonal = _z_offset_diagonal(offsets)
@@ -814,6 +801,9 @@ class _KrylovEngine(_Engine):
         self._w = np.empty(self.dim, dtype=complex)
         self.max_krylov_dim = 0
         self.splits = 0
+
+    def memory_bytes(self, steps: int) -> int:
+        return _krylov_bytes(self.n_qubits, self.n_bases, self.order)
 
     def _apply_bases(self, src: np.ndarray, out: np.ndarray) -> None:
         """out[a*p : (a+1)*p] = B_a src for every base a, src being (p, dim)."""
@@ -900,19 +890,10 @@ class _KrylovEngine(_Engine):
             psi = self._expm(h_weights, psi, sub)
         return psi
 
-    def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
-        """Final state, one Lanczos step at a time."""
-        psi = self.psi0
-        chunk = max(1, min(_CHUNK_ELEMENTS // _word_count(3, self.order), 1 << 16))
-        for lo in range(0, starts.size, chunk):
-            c = self.fit_scalars(starts[lo : lo + chunk], widths[lo : lo + chunk], tau)
-            weights = _word_weights(c, self.order)
-            finite = np.isfinite(weights).all(axis=1)
-            if not finite.all():
-                bad = lo + int(np.argmin(finite))
-                raise NumericalError(f"non-finite step generator at step index {bad}")
-            for h_weights in 1j * weights:
-                psi = self._expm(h_weights, psi, 1.0)
+    def advance(self, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """psi through each step, one Lanczos run at a time."""
+        for h_weights in 1j * weights:
+            psi = self._expm(h_weights, psi, 1.0)
         return psi
 
     def diagnostics(self) -> dict[str, Any]:
@@ -941,9 +922,9 @@ def build_step_polynomial(
     if not 0.0 <= t0 < t1 <= tau:
         raise ValueError(f"need 0 <= t0 < t1 <= tau, got t0={t0}, t1={t1}, tau={tau}")
     model, offsets = _prepare(model, offsets)
-    engine = _StepEngine(model, schedule, offsets, order=1)
-    c = engine.fit_scalars(np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)[0]
-    return MatrixPolynomial([np.tensordot(c[d], engine.bases, axes=(0, 0)) for d in range(3)])
+    bases = _base_operators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    c = _fit_steps(schedule, len(bases), np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)
+    return MatrixPolynomial(list(_combine(c[0], bases)))
 
 
 def _prepare(model, offsets):
@@ -981,7 +962,7 @@ def simulate_fixed(
     starts, widths = _step_grid(n_steps, schedule.kinks)
     kind = _KrylovEngine if model.n_qubits >= _KRYLOV_MIN_QUBITS else _StepEngine
     try:
-        engine = kind(model, schedule, offsets, order)
+        engine = kind(model, schedule, offsets, order, starts.size)
         psi = engine.propagate(starts, widths, tau)
     except MemoryError as exc:
         raise SizeError(f"out of memory at {model.n_qubits} qubits and order {order}") from exc
@@ -1141,33 +1122,20 @@ def simulate_reference_rk(
     if tau < 0:
         raise ValueError(f"evolution time must be >= 0, got {tau}")
     model, offsets = _prepare(model, offsets)
-    engine = _StepEngine(model, schedule, offsets)
-    psi0 = engine.psi0
+    bases = _base_operators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
     rho = np.outer(psi0, psi0.conj())
-    dim = engine.dim
     h = 1.0 / n_steps
-
-    static = None
-    if engine.n_bases == 3:
-        static = engine.bases[2]
-
-    def hamiltonian_stack(pts: np.ndarray) -> np.ndarray:
-        a = _eval_envelope(engine.schedule.A, pts)
-        b = _eval_envelope(engine.schedule.B, pts)
-        stack = a[:, None, None] * engine.bases[0] + b[:, None, None] * engine.bases[1]
-        if static is not None:
-            stack = stack + static
-        return stack
 
     def rhs(hmat: np.ndarray, state: np.ndarray) -> np.ndarray:
         return -1j * tau * (hmat @ state - state @ hmat)
 
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * dim * dim))
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * rho.size))
     for lo in range(0, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
         # H at the step ends and midpoints of this chunk
         pts = np.linspace(lo * h, hi * h, 2 * (hi - lo) + 1)
-        hs = hamiltonian_stack(pts)
+        hs = _hamiltonian_stack(bases, schedule, pts)
         for i in range(hi - lo):
             h_start, h_mid, h_end = hs[2 * i], hs[2 * i + 1], hs[2 * i + 2]
             k1 = rhs(h_start, rho)

@@ -213,6 +213,12 @@ def save_schedule_csv(schedule: AnnealingSchedule, path, s_grid: Sequence[float]
             writer.writerow([repr(float(s)), repr(float(a)), repr(float(b))])
 
 
+def _unit_quadratic(f0, fm, f1):
+    """Coefficients of the quadratic through ``(0, f0)``, ``(1/2, fm)`` and
+    ``(1, f1)`` in the unit variable, lowest first; scalars or arrays."""
+    return f0, -3.0 * f0 + 4.0 * fm - f1, 2.0 * f0 - 4.0 * fm + 2.0 * f1
+
+
 def local_quadratic_fit(f: Callable[[float], float], s0: float, s1: float) -> ScalarQuadratic:
     """Quadratic through ``(s0, f(s0))``, the midpoint, and ``(s1, f(s1))``.
 
@@ -223,11 +229,7 @@ def local_quadratic_fit(f: Callable[[float], float], s0: float, s1: float) -> Sc
         raise ValueError(f"need s0 < s1, got s0={s0}, s1={s1}")
     width = s1 - s0
     f0 = float(f(s0))
-    fm = float(f(0.5 * (s0 + s1)))
-    f1 = float(f(s1))
-    # coefficients of the fit in the unit variable u = (s - s0) / width
-    alpha = -3.0 * f0 + 4.0 * fm - f1
-    beta = 2.0 * (f0 - 2.0 * fm + f1)
+    _, alpha, beta = _unit_quadratic(f0, float(f(0.5 * (s0 + s1))), float(f(s1)))
     c2 = beta / (width * width)
     c1 = alpha / width - 2.0 * c2 * s0
     c0 = f0 - alpha * s0 / width + c2 * s0 * s0

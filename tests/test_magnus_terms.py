@@ -254,7 +254,7 @@ class TestStepPolynomial:
 
         engine = _StepEngine(five_spin, circular, None)
         starts, widths = _step_grid(16, ())
-        batch = engine.omega_batch(starts, widths, 3.0, 4)
+        batch = engine.generators(engine.weights(starts, widths, 3.0))
         for k in (0, 7, 15):
             poly = qa.build_step_polynomial(
                 five_spin, circular, None, 3.0, starts[k] * 3.0, (starts[k] + widths[k]) * 3.0
@@ -284,7 +284,7 @@ class TestBatchedEngine:
         engine = _StepEngine(model, sched, offsets, order)
         assert engine.n_bases == 3
         starts, widths = _step_grid(8, sched.kinks)
-        batch = engine.omega_batch(starts, widths, tau, order)
+        batch = engine.generators(engine.weights(starts, widths, tau))
         for k in range(starts.size):
             poly = qa.build_step_polynomial(
                 model, sched, offsets, tau, starts[k] * tau, (starts[k] + widths[k]) * tau
@@ -335,7 +335,7 @@ class TestMemoryPreflight:
             if with_offsets else None
         )
         engine = _StepEngine(model, circular, offsets, order)
-        cache_bytes, _ = _engine_bytes(3, engine.n_bases, order)
+        cache_bytes, _ = _engine_bytes(3, engine.n_bases, order, 1)
         products = engine.stacked_products(order)
         assert products.nbytes == cache_bytes
         # the bases are the first rows of the cache, not a second copy
@@ -352,6 +352,24 @@ class TestMemoryPreflight:
         with pytest.raises(qa.SizeError, match="out of memory"):
             qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, n_steps=4)
 
+
+    def test_short_run_is_sized_by_its_steps(self, circular, monkeypatch):
+        import annealsim.magnus as magnus_mod
+
+        # 6 qubits at order 8 with offsets: a 322 MB product cache and, for 2
+        # steps, a working set under 1 MB; the estimate charges a run for the
+        # steps it takes, up to one chunk
+        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 500 * 10**6)
+        chain = {(i, i + 1): 1.0 for i in range(1, 6)}
+        offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 6, z=[0.1] * 6, n_qubits=6)
+        result = qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2, offsets=offsets)
+        assert result.metadata["propagator"] == "dense"
+        assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        from annealsim.magnus import _chunk_steps, _engine_bytes
+
+        chunk = _chunk_steps(1 << 12, 8)
+        assert _engine_bytes(6, 3, 8, 2)[1] < _engine_bytes(6, 3, 8, chunk)[1]
+        assert _engine_bytes(6, 3, 8, chunk)[1] == _engine_bytes(6, 3, 8, 10**6)[1]
 
     @pytest.mark.parametrize("n_qubits", [5, 7])
     def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, n_qubits):

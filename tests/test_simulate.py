@@ -104,12 +104,12 @@ class TestSimulateFixed:
 
 class TestStepUnitarity:
     def test_every_step_propagator_is_unitary(self, five_spin, circular):
-        from annealsim.magnus import _expm_antihermitian, _StepEngine, _step_grid
+        from annealsim.magnus import _StepEngine, _step_grid
 
         engine = _StepEngine(five_spin, circular, None)
         starts, widths = _step_grid(97, circular.kinks)
-        omegas = engine.omega_batch(starts, widths, 100.0, 4)
-        unitaries = _expm_antihermitian(omegas)
+        omegas = engine.generators(engine.weights(starts, widths, 100.0))
+        unitaries = np.array([qa.exponentiate_omega(omega) for omega in omegas])
         identity = np.eye(engine.dim)
         defect = np.abs(
             unitaries @ np.conj(np.swapaxes(unitaries, -1, -2)) - identity
@@ -310,6 +310,21 @@ class TestKinkHandling:
         assert qa.trace_distance(magnus.rho, rk.rho) <= 1e-8
 
 
+class TestNonFiniteGenerators:
+    @pytest.mark.parametrize("chunk_elements", [1, 1 << 21])
+    @pytest.mark.parametrize("path", ["dense", "krylov"])
+    def test_bad_step_is_named(self, monkeypatch, path, chunk_elements):
+        # NaN only inside (0.2, 0.3), which the probes at 0, 0.5 and 1 miss;
+        # of ten steps only the third has a node there, its midpoint 0.25
+        sched = qa.schedule_from_functions(
+            lambda s: np.where((s > 0.2) & (s < 0.3), np.nan, 1.0 - s), lambda s: s + 0.0)
+        monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_QUBITS", 1 if path == "krylov" else 99)
+        # a chunk element bound of 1 puts every step in a chunk of its own
+        monkeypatch.setattr(magnus_mod, "_CHUNK_ELEMENTS", chunk_elements)
+        with pytest.raises(qa.NumericalError, match=r"non-finite step generator at step index 2$"):
+            qa.simulate_fixed(qa.coupled_pair_model(), 1.0, sched, n_steps=10)
+
+
 def _propagate(monkeypatch, path, *args, **kwargs):
     """simulate_fixed forced onto the dense or the Krylov path."""
     monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_QUBITS", 1 if path == "krylov" else 99)
@@ -355,8 +370,8 @@ class TestKrylovPath:
 
         model = random_model(np.random.default_rng(7), 7)
         tau = 4.0
-        omega = _StepEngine(model, circular, None).omega_batch(
-            np.array([0.0]), np.array([1.0]), tau, 4)[0]
+        engine = _StepEngine(model, circular, None)
+        omega = engine.generators(engine.weights(np.array([0.0]), np.array([1.0]), tau))[0]
         assert np.abs(np.linalg.eigvalsh(1j * omega)).max() >= 30
         dense = _propagate(monkeypatch, "dense", model, tau, circular, n_steps=1)
         krylov = _propagate(monkeypatch, "krylov", model, tau, circular, n_steps=1)
@@ -383,7 +398,7 @@ class TestKrylovPath:
         model = random_model(np.random.default_rng(9), 5)
         offsets = _offsets(np.random.default_rng(10), 5)
         engine = _StepEngine(model, circular, offsets)
-        omega = engine.omega_batch(np.array([0.0]), np.array([1.0]), 3.0, 4)[0]
+        omega = engine.generators(engine.weights(np.array([0.0]), np.array([1.0]), 3.0))[0]
         expected = linalg.expm_multiply(omega, engine.psi0)
         krylov = _propagate(monkeypatch, "krylov", model, 3.0, circular, n_steps=1,
                             offsets=offsets)
