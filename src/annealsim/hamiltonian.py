@@ -3,9 +3,13 @@
 Operators act on ``n`` qubits with the little-endian index convention of
 :mod:`annealsim.encoding`: qubit ``i`` flips bit ``i - 1`` of the basis-state
 index.  The longitudinal (Ising) part is diagonal in the Z basis and is kept
-as a length ``2**n`` vector.  Every dense ``H(s)``, and every step generator
-of the Magnus and RK4 paths, is a combination of one stack of fixed operators
-(:func:`_base_operators`, :func:`_combine`).
+as a length ``2**n`` vector.
+
+:class:`_BaseOperators` alone describes the fixed operators whose weighted
+sum is ``H(s)``: the driver, the Ising diagonal and the optional field
+offsets, each as bit flips plus a diagonal.  Every ``H(s)``, every step
+generator of :mod:`annealsim.magnus` and every matrix-free product of its
+Krylov path is formed from it.
 """
 
 from __future__ import annotations
@@ -150,18 +154,8 @@ def _spin_table(n: int) -> np.ndarray:
 def transverse_matrix(n_qubits: int) -> np.ndarray:
     """Sum of Pauli-X operators over all qubits as a dense symmetric matrix."""
     _validate_qubit_count(n_qubits)
-    return _weighted_flip_matrix([1.0] * int(n_qubits))
-
-
-def _weighted_flip_matrix(weights: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
-    # sum_i w_i * sigma_i^x, added to ``out`` where one is given
-    dim = 1 << len(weights)
-    m = np.zeros((dim, dim)) if out is None else out
-    v = np.arange(dim)
-    for k, w in enumerate(weights):
-        if w != 0.0:
-            m[v, v ^ (1 << k)] += w
-    return m
+    n = int(n_qubits)
+    return _BaseOperators(n, 1, np.zeros(1 << n), None).dense()[0]
 
 
 def ising_diagonal(model: IsingModel | Mapping) -> np.ndarray:
@@ -182,19 +176,14 @@ def ising_diagonal(model: IsingModel | Mapping) -> np.ndarray:
     return diag
 
 
-def _z_offset_diagonal(offsets: FieldOffsets) -> np.ndarray:
-    spins = _spin_table(offsets.n_qubits)
-    return spins @ np.asarray(offsets.z)
-
-
-def _check_offsets(offsets: FieldOffsets | None, n_qubits: int) -> FieldOffsets | None:
-    if offsets is None:
-        return None
-    if offsets.n_qubits != n_qubits:
+def _prepare(model, offsets: FieldOffsets | None) -> tuple[IsingModel, FieldOffsets | None]:
+    """The model as an :class:`IsingModel`, and offsets checked against its size."""
+    model = IsingModel.from_terms(model)
+    if offsets is not None and offsets.n_qubits != model.n_qubits:
         raise ModelError(
-            f"offsets are for {offsets.n_qubits} qubits but the model has {n_qubits}"
+            f"offsets are for {offsets.n_qubits} qubits but the model has {model.n_qubits}"
         )
-    return offsets
+    return model, offsets
 
 
 def _eval_envelope(fn, points: np.ndarray) -> np.ndarray:
@@ -208,21 +197,73 @@ def _eval_envelope(fn, points: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(x))) for x in points])
 
 
-def _base_operators(n_qubits: int, driver_sign: int, diagonal: np.ndarray,
-                    offsets: FieldOffsets | None) -> np.ndarray:
-    """The real stack ``sign * H_x``, ``diag(E)`` and, with nonzero offsets,
-    their constant field: ``H(s)`` weighs them by ``A(s)``, ``B(s)`` and 1."""
-    dim = 1 << n_qubits
-    with_offsets = offsets is not None and offsets.any_nonzero()
-    # filled in place, so that no dim x dim temporary is made
-    operators = np.zeros((3 if with_offsets else 2, dim, dim))
-    _weighted_flip_matrix([float(driver_sign)] * n_qubits, out=operators[0])
-    idx = np.arange(dim)
-    operators[1, idx, idx] = diagonal
-    if with_offsets:
-        _weighted_flip_matrix(offsets.x, out=operators[2])
-        operators[2, idx, idx] = _z_offset_diagonal(offsets)
-    return operators
+class _BaseOperators:
+    """The fixed real operators whose weighted sum is ``H(s)``.
+
+    They are the driver ``sign * sum_k X_k``, the Ising part ``diag(E)`` and,
+    when an offset is nonzero, the constant field ``sum_k x_k X_k + z_k Z_k``,
+    weighted by ``A(s)``, ``B(s)`` and 1.  Each is held as a list of bit flips
+    ``(k, w)``, meaning ``w X`` on bit ``k``, plus a diagonal or None.  They
+    are formed as a dense stack (:meth:`dense`) or applied to a block of
+    vectors without one (:meth:`apply`).
+    """
+
+    def __init__(self, n_qubits: int, driver_sign: int, diagonal: np.ndarray,
+                 offsets: FieldOffsets | None):
+        self.n_qubits = n_qubits
+        self.dim = 1 << n_qubits
+        self.terms: list[tuple[list[tuple[int, float]], np.ndarray | None]] = [
+            ([(k, float(driver_sign)) for k in range(n_qubits)], None),
+            ([], diagonal),
+        ]
+        if offsets is not None and offsets.any_nonzero():
+            self.terms.append(([(k, w) for k, w in enumerate(offsets.x) if w != 0.0],
+                               _spin_table(n_qubits) @ np.asarray(offsets.z)))
+        self.count = len(self.terms)
+
+    def envelopes(self, schedule, s: np.ndarray) -> np.ndarray:
+        """Weights ``(s.size, count)`` of the bases at every point of ``s``."""
+        out = np.ones((s.size, self.count))
+        out[:, 0] = _eval_envelope(schedule.A, s)
+        out[:, 1] = _eval_envelope(schedule.B, s)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The real stack ``(count, dim, dim)``, filled in place, so that no
+        dim x dim temporary is made."""
+        out = np.zeros((self.count, self.dim, self.dim))
+        idx = np.arange(self.dim)
+        for base, (flips, diagonal) in zip(out, self.terms):
+            for k, w in flips:
+                base[idx, idx ^ (1 << k)] = w
+            if diagonal is not None:
+                base[idx, idx] = diagonal
+        return out
+
+    def apply(self, src: np.ndarray, out: np.ndarray) -> None:
+        """out[a*p : (a+1)*p] = B_a src for every base a, src being (p, dim).
+
+        With the basis index split into one axis per bit, X_k reverses the
+        axis of bit k.
+        """
+        p = src.shape[0]
+        shape = (p,) + (2,) * self.n_qubits
+        s = src.reshape(shape)
+        for a, (flips, diagonal) in enumerate(self.terms):
+            block = out[a * p : (a + 1) * p]
+            if diagonal is None:
+                block[...] = 0.0
+            else:
+                np.multiply(src, diagonal, out=block)
+            o = block.reshape(shape)
+            for k, w in flips:
+                flipped = np.flip(s, self.n_qubits - k)
+                if w == 1.0:
+                    o += flipped
+                elif w == -1.0:
+                    o -= flipped
+                else:
+                    o += w * flipped
 
 
 def _combine(coeffs: np.ndarray, operators: np.ndarray) -> np.ndarray:
@@ -238,14 +279,6 @@ def _combine(coeffs: np.ndarray, operators: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hamiltonian_stack(operators: np.ndarray, schedule, s: np.ndarray) -> np.ndarray:
-    """``H(s)`` at every point of the array ``s``."""
-    coeffs = np.ones((s.size, operators.shape[0]))
-    coeffs[:, 0] = _eval_envelope(schedule.A, s)
-    coeffs[:, 1] = _eval_envelope(schedule.B, s)
-    return _combine(coeffs, operators)
-
-
 def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = None) -> np.ndarray:
     """Dense ``H(s)`` for a model, schedule and normalized time ``s`` in [0, 1].
 
@@ -254,11 +287,9 @@ def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = Non
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    model = IsingModel.from_terms(model)
-    offsets = _check_offsets(offsets, model.n_qubits)
-    operators = _base_operators(model.n_qubits, schedule.driver_sign,
-                                ising_diagonal(model), offsets)
-    return _hamiltonian_stack(operators, schedule, np.array([float(s)]))[0]
+    model, offsets = _prepare(model, offsets)
+    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    return _combine(bases.envelopes(schedule, np.array([float(s)])), bases.dense())[0]
 
 
 def eigenspectrum(
@@ -268,21 +299,19 @@ def eigenspectrum(
     offsets: FieldOffsets | None = None,
 ) -> SpectrumResult:
     """Ascending eigenvalues of ``H(s)`` at each grid point."""
-    model = IsingModel.from_terms(model)
-    offsets = _check_offsets(offsets, model.n_qubits)
+    model, offsets = _prepare(model, offsets)
     grid = np.asarray(s_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("s_grid must be a nonempty 1-D sequence")
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise ValueError("s_grid values must lie in [0, 1]")
 
-    dim = 1 << model.n_qubits
-    operators = _base_operators(model.n_qubits, schedule.driver_sign,
-                                ising_diagonal(model), offsets)
-    levels = np.empty((grid.size, dim))
-    chunk = max(1, (1 << 22) // (dim * dim))
+    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    operators = bases.dense()
+    levels = np.empty((grid.size, bases.dim))
+    chunk = max(1, (1 << 22) // (bases.dim * bases.dim))
     for lo in range(0, grid.size, chunk):
-        stack = _hamiltonian_stack(operators, schedule, grid[lo : lo + chunk])
+        stack = _combine(bases.envelopes(schedule, grid[lo : lo + chunk]), operators)
         levels[lo : lo + chunk] = np.linalg.eigvalsh(stack)
     return SpectrumResult(s_grid=grid, levels=levels)
 

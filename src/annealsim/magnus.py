@@ -17,12 +17,15 @@ iterated-integral form, in exact rational weights) and :func:`omega_recursive`
 cross-agreement of the paths on random inputs is the main correctness gate of
 the package, see the test suite.
 
-One loop propagates the state vector step by step (:meth:`_Engine.propagate`).
+Each step generator weighs the base operators of
+:class:`annealsim.hamiltonian._BaseOperators` by the fitted envelopes.  One
+loop propagates the state vector step by step (:meth:`_Engine.propagate`).
 Below seven qubits each step applies ``exp(Omega) = V exp(-i Lambda) V*``
-from the eigendecomposition of the Hermitian matrix ``i * Omega``; from seven
-qubits on ``exp(Omega) psi`` is computed by Lanczos without forming any
-``dim x dim`` matrix.  Either way every step is unitary to roundoff, so the
-state stays physical even at grossly insufficient step counts.
+from the eigendecomposition of the Hermitian matrix ``i * Omega``, built from
+the dense bases; from seven qubits on ``exp(Omega) psi`` is computed by
+Lanczos from the bases applied to vectors, without any ``dim x dim`` matrix.
+Either way every step is unitary to roundoff, so the state stays physical
+even at grossly insufficient step counts.
 """
 
 from __future__ import annotations
@@ -49,13 +52,10 @@ from .errors import ConvergenceError, NumericalError, SizeError, SolverConfigErr
 from .hamiltonian import (
     FieldOffsets,
     IsingModel,
-    _base_operators,
-    _check_offsets,
+    _BaseOperators,
     _combine,
-    _eval_envelope,
-    _hamiltonian_stack,
+    _prepare,
     _spin_table,
-    _z_offset_diagonal,
     ising_diagonal,
 )
 from .schedule import AnnealingSchedule, ALL_MINUS, _unit_quadratic
@@ -584,11 +584,18 @@ def _preflight(need: int, n_qubits: int, n_bases: int, order: int) -> None:
 
 
 def _step_grid(n_steps: int, kinks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform step edges with schedule kinks inserted as extra boundaries."""
+    """Uniform step edges with schedule kinks inserted as extra boundaries.
+
+    A kink within 1e-12 of a uniform edge adds none.
+    """
     edges = np.linspace(0.0, 1.0, n_steps + 1)
-    extra = [q for q in kinks if 0.0 < q < 1.0 and np.abs(edges - q).min() > 1e-12]
-    if extra:
-        edges = np.sort(np.concatenate([edges, np.asarray(extra)]))
+    q = np.asarray(kinks, dtype=float)
+    q = q[(q > 0.0) & (q < 1.0)]
+    if q.size:
+        # edges[i - 1] < q <= edges[i], and the nearest edge is one of the two
+        i = np.searchsorted(edges, q)
+        extra = q[np.minimum(edges[i] - q, q - edges[i - 1]) > 1e-12]
+        edges = np.sort(np.concatenate([edges, extra]))
     return edges[:-1], np.diff(edges)
 
 
@@ -598,20 +605,13 @@ def _initial_state(n_qubits: int, kind: str) -> np.ndarray:
     return amps.astype(complex) / math.sqrt(1 << n_qubits)
 
 
-def _fit_steps(schedule: AnnealingSchedule, n_bases: int, starts: np.ndarray,
+def _fit_steps(bases: _BaseOperators, schedule: AnnealingSchedule, starts: np.ndarray,
                widths: np.ndarray, tau: float) -> np.ndarray:
     """Per-step coefficients c[m, degree, base] of the step generators."""
-    count = starts.size
     nodes = np.concatenate([starts, starts + 0.5 * widths, starts + widths])
-    c = np.zeros((count, 3, n_bases), dtype=complex)
-    scale = (-1j * tau) * widths
-    for col, fn in ((0, schedule.A), (1, schedule.B)):
-        values = _eval_envelope(fn, nodes).reshape(3, count)
-        for degree, coeff in enumerate(_unit_quadratic(*values)):
-            c[:, degree, col] = scale * coeff
-    if n_bases == 3:
-        c[:, 0, 2] = scale
-    return c
+    values = bases.envelopes(schedule, nodes).reshape(3, starts.size, bases.count)
+    scale = ((-1j * tau) * widths)[:, None]
+    return np.stack([scale * coeff for coeff in _unit_quadratic(*values)], axis=1)
 
 
 def _word_count(n_bases: int, order: int) -> int:
@@ -677,15 +677,14 @@ class _Engine:
         self.order = order
         self.n_qubits = model.n_qubits
         self.dim = 1 << model.n_qubits
-        self.with_offsets = offsets is not None and offsets.any_nonzero()
-        self.n_bases = 3 if self.with_offsets else 2
-        _preflight(self.memory_bytes(steps), model.n_qubits, self.n_bases, order)
-        self.diagonal = ising_diagonal(model)
+        self.bases = _BaseOperators(model.n_qubits, schedule.driver_sign,
+                                    ising_diagonal(model), offsets)
+        _preflight(self.memory_bytes(steps), model.n_qubits, self.bases.count, order)
         self.psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
 
     def weights(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
         """Word weights (steps, words) of the generators of a batch of steps."""
-        c = _fit_steps(self.schedule, self.n_bases, starts, widths, tau)
+        c = _fit_steps(self.bases, self.schedule, starts, widths, tau)
         return _word_weights(c, self.order)
 
     def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
@@ -720,32 +719,26 @@ class _StepEngine(_Engine):
     def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
                  offsets: FieldOffsets | None, order: int = 4, steps: int = 1):
         super().__init__(model, schedule, offsets, order, steps)
-        self.step_elements = self.dim * self.dim
-        # products of length 1..order, grouped by length; the bases lead
-        self._products = np.empty((_word_count(self.n_bases, order), self.dim, self.dim))
-        self._levels = 1
-        self.bases = self._products[: self.n_bases]
-        self.bases[...] = _base_operators(model.n_qubits, schedule.driver_sign,
-                                          self.diagonal, offsets)
+        nb, dim = self.bases.count, self.dim
+        self.step_elements = dim * dim
+        # all base-word products of length 1..order, grouped by length; the
+        # bases lead, and each product one longer is one of the last length
+        # times a base
+        products = np.empty((_word_count(nb, order), dim, dim))
+        bases = products[:nb]
+        bases[...] = self.bases.dense()
+        for length in range(1, order):
+            lo, hi = _word_count(nb, length - 1), _word_count(nb, length)
+            np.matmul(products[lo:hi, None], bases[None],
+                      out=products[hi : hi + (hi - lo) * nb].reshape(hi - lo, nb, dim, dim))
+        self.products = products.reshape(-1, dim * dim)
 
     def memory_bytes(self, steps: int) -> int:
-        return sum(_engine_bytes(self.n_qubits, self.n_bases, self.order, steps))
-
-    def stacked_products(self, order: int) -> np.ndarray:
-        """All base-word products of length 1..order as one real (words, dim*dim) block."""
-        nb = self.n_bases
-        while self._levels < order:
-            # each product one longer is a product of the last level times a base
-            lo, hi = _word_count(nb, self._levels - 1), _word_count(nb, self._levels)
-            out = self._products[hi : hi + (hi - lo) * nb]
-            np.matmul(self._products[lo:hi, None], self.bases[None],
-                      out=out.reshape(hi - lo, nb, self.dim, self.dim))
-            self._levels += 1
-        return self._products[: _word_count(nb, order)].reshape(-1, self.dim * self.dim)
+        return sum(_engine_bytes(self.n_qubits, self.bases.count, self.order, steps))
 
     def generators(self, weights: np.ndarray) -> np.ndarray:
         """Step generators (steps, dim, dim) from their word weights."""
-        return _combine(weights, self.stacked_products(self.order)).reshape(-1, self.dim, self.dim)
+        return _combine(weights, self.products).reshape(-1, self.dim, self.dim)
 
     def advance(self, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """psi through each step as ``V (exp(-i lambda) (V* psi))``."""
@@ -758,27 +751,13 @@ class _StepEngine(_Engine):
         return psi
 
 
-def _add_flips(src: np.ndarray, out: np.ndarray, n_qubits: int, weights) -> None:
-    """out += sum_k w_k X_k src, row by row, for the pairs (k, w_k) in ``weights``.
-
-    With the basis index split into one axis per bit, X_k reverses the axis
-    of bit k.
-    """
-    shape = (src.shape[0],) + (2,) * n_qubits
-    s, o = src.reshape(shape), out.reshape(shape)
-    for k, w in weights:
-        flipped = np.flip(s, n_qubits - k)
-        o += flipped if w == 1.0 else w * flipped
-
-
 class _KrylovEngine(_Engine):
     """Matrix-free steps on the state vector; no dim x dim array is formed.
 
-    ``Omega v`` comes from the base operators alone: the driver as bit
-    flips, the Ising energies and Z offsets as elementwise products, the X
-    offsets as weighted flips.  The words are applied from right to left
-    through a trie, one level per word length, so each word costs one base
-    application on top of its suffix.  ``exp(Omega) psi`` then comes from
+    ``Omega v`` comes from the base operators alone, applied as bit flips and
+    diagonals (:meth:`_BaseOperators.apply`).  The words are applied from
+    right to left through a trie, one level per word length, so each word
+    costs one base application on top of its suffix.  ``exp(Omega) psi`` then comes from
     Lanczos on the Hermitian ``i Omega`` with an a-posteriori stopping test
     (Park & Light, J. Chem. Phys. 85 (1986) 5870; Hochbruck & Lubich, SIAM
     J. Numer. Anal. 34 (1997) 1911).
@@ -789,11 +768,7 @@ class _KrylovEngine(_Engine):
     def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
                  offsets: FieldOffsets | None, order: int = 4, steps: int = 1):
         super().__init__(model, schedule, offsets, order, steps)
-        nb = self.n_bases
-        self.flips = [(k, 1.0) for k in range(model.n_qubits)]
-        if self.with_offsets:
-            self.x_flips = [(k, w) for k, w in enumerate(offsets.x) if w != 0.0]
-            self.z_diagonal = _z_offset_diagonal(offsets)
+        nb = self.bases.count
         # trie level j lives in buffer (order - j) % 2, so the widest is level order
         self._levels = (np.empty((nb**order, self.dim), dtype=complex),
                         np.empty((nb ** (order - 1), self.dim), dtype=complex))
@@ -803,32 +778,18 @@ class _KrylovEngine(_Engine):
         self.splits = 0
 
     def memory_bytes(self, steps: int) -> int:
-        return _krylov_bytes(self.n_qubits, self.n_bases, self.order)
-
-    def _apply_bases(self, src: np.ndarray, out: np.ndarray) -> None:
-        """out[a*p : (a+1)*p] = B_a src for every base a, src being (p, dim)."""
-        p = src.shape[0]
-        drive = out[:p]
-        drive[...] = 0.0
-        _add_flips(src, drive, self.n_qubits, self.flips)
-        if self.schedule.driver_sign < 0:
-            np.negative(drive, out=drive)
-        np.multiply(src, self.diagonal, out=out[p : 2 * p])
-        if self.with_offsets:
-            offset = out[2 * p : 3 * p]
-            np.multiply(src, self.z_diagonal, out=offset)
-            _add_flips(src, offset, self.n_qubits, self.x_flips)
+        return _krylov_bytes(self.n_qubits, self.bases.count, self.order)
 
     def apply_omega(self, weights: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = sum over words w of weights[w] * B_w v."""
-        nb = self.n_bases
+        nb = self.bases.count
         level = v[None]
         start = 0
         for j in range(1, self.order + 1):
             rows = nb**j
             suffixes = level
             level = self._levels[(self.order - j) % 2][:rows]
-            self._apply_bases(suffixes, level)
+            self.bases.apply(suffixes, level)
             term = weights[start : start + rows] @ level
             if j == 1:
                 out[...] = term
@@ -922,15 +883,9 @@ def build_step_polynomial(
     if not 0.0 <= t0 < t1 <= tau:
         raise ValueError(f"need 0 <= t0 < t1 <= tau, got t0={t0}, t1={t1}, tau={tau}")
     model, offsets = _prepare(model, offsets)
-    bases = _base_operators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
-    c = _fit_steps(schedule, len(bases), np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)
-    return MatrixPolynomial(list(_combine(c[0], bases)))
-
-
-def _prepare(model, offsets):
-    model = IsingModel.from_terms(model)
-    offsets = _check_offsets(offsets, model.n_qubits)
-    return model, offsets
+    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    c = _fit_steps(bases, schedule, np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)
+    return MatrixPolynomial(list(_combine(c[0], bases.dense())))
 
 
 def simulate_fixed(
@@ -999,10 +954,13 @@ def simulate(
     """Propagate with adaptive step doubling.
 
     Runs fixed-step simulations at ``initial_steps, 2*initial_steps, ...``
-    until two successive density matrices agree within both the mean and max
+    until two successive final states agree within both the mean and max
     element-wise tolerances, then returns the finer result together with the
-    full convergence trace.  Levels that add no step edge to the last one,
-    and levels too coarse for the Krylov path, are skipped, not compared.
+    full convergence trace.  The states are compared as state vectors: the
+    entries of their density matrices are formed a block of rows at a time
+    (:func:`error_max`, :func:`error_mean`), never as whole matrices.  Levels
+    that add no step edge to the last one, and levels too coarse for the
+    Krylov path, are skipped, not compared.
     """
     config = SolverConfig(
         order=order,
@@ -1122,7 +1080,8 @@ def simulate_reference_rk(
     if tau < 0:
         raise ValueError(f"evolution time must be >= 0, got {tau}")
     model, offsets = _prepare(model, offsets)
-    bases = _base_operators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    operators = bases.dense()
     psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
     rho = np.outer(psi0, psi0.conj())
     h = 1.0 / n_steps
@@ -1135,7 +1094,7 @@ def simulate_reference_rk(
         hi = min(lo + chunk, n_steps)
         # H at the step ends and midpoints of this chunk
         pts = np.linspace(lo * h, hi * h, 2 * (hi - lo) + 1)
-        hs = _hamiltonian_stack(bases, schedule, pts)
+        hs = _combine(bases.envelopes(schedule, pts), operators)
         for i in range(hi - lo):
             h_start, h_mid, h_end = hs[2 * i], hs[2 * i + 1], hs[2 * i + 2]
             k1 = rhs(h_start, rho)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -174,6 +175,66 @@ class TestHamiltonianAt:
             sched = schedules[names[rng.integers(0, 4)]]
             h = qa.hamiltonian_at(model, sched, s)
             assert np.abs(h - h.conj().T).max() <= 1e-12
+
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Z = np.diag([1.0, -1.0])
+
+
+def pauli(op, qubit, n):
+    """``op`` on one qubit as a Kronecker product; qubit 1 is the last factor."""
+    factors = [np.eye(2)] * n
+    factors[n - qubit] = op
+    return functools.reduce(np.kron, factors)
+
+
+class TestBaseOperators:
+    """The base operators against Pauli products built independently."""
+
+    @staticmethod
+    def problem(n, sign, with_offsets):
+        rng = np.random.default_rng(10 * n + 2 * with_offsets + (sign > 0))
+        terms = {(i,): float(rng.normal()) for i in range(1, n + 1)}
+        terms.update({p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)})
+        offsets = (qa.FieldOffsets.from_vectors(x=rng.normal(size=n), z=rng.normal(size=n))
+                   if with_offsets else None)
+        return qa.IsingModel.from_terms(terms, n_qubits=n), offsets, rng
+
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hamiltonian_matches_kronecker_products(self, n, sign, with_offsets):
+        model, offsets, _ = self.problem(n, sign, with_offsets)
+        sched = qa.builtin_schedule("dw_quadratic", driver_sign=sign)
+        for s in (0.0, 0.37, 0.9):
+            a, b = sched.A(s), sched.B(s)
+            expected = sum(sign * a * pauli(PAULI_X, k, n) for k in range(1, n + 1))
+            for key, coeff in model.terms.items():
+                expected = expected + b * coeff * functools.reduce(
+                    np.matmul, [pauli(PAULI_Z, k, n) for k in key])
+            if offsets is not None:
+                for k in range(1, n + 1):
+                    expected = expected + (offsets.x[k - 1] * pauli(PAULI_X, k, n)
+                                           + offsets.z[k - 1] * pauli(PAULI_Z, k, n))
+            h = qa.hamiltonian_at(model, sched, s, offsets)
+            assert np.abs(h - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_apply_matches_dense_stack(self, n, sign, with_offsets):
+        from annealsim.hamiltonian import _BaseOperators
+
+        model, offsets, rng = self.problem(n, sign, with_offsets)
+        bases = _BaseOperators(n, sign, qa.ising_diagonal(model), offsets)
+        assert bases.count == (3 if with_offsets else 2)
+        p, dim = 3, 1 << n
+        block = rng.normal(size=(p, dim)) + 1j * rng.normal(size=(p, dim))
+        out = np.empty((bases.count * p, dim), dtype=complex)
+        bases.apply(block, out)
+        # each row of the block is a vector; the bases are symmetric
+        expected = np.concatenate([block @ base for base in bases.dense()])
+        assert np.abs(out - expected).max() <= 1e-13
 
 
 class TestEigenspectrum:

@@ -282,7 +282,7 @@ class TestBatchedEngine:
         sched = qa.builtin_schedule(schedule[0], driver_sign=schedule[1])
         tau = 3.0
         engine = _StepEngine(model, sched, offsets, order)
-        assert engine.n_bases == 3
+        assert engine.bases.count == 3
         starts, widths = _step_grid(8, sched.kinks)
         batch = engine.generators(engine.weights(starts, widths, tau))
         for k in range(starts.size):
@@ -335,20 +335,19 @@ class TestMemoryPreflight:
             if with_offsets else None
         )
         engine = _StepEngine(model, circular, offsets, order)
-        cache_bytes, _ = _engine_bytes(3, engine.n_bases, order, 1)
-        products = engine.stacked_products(order)
-        assert products.nbytes == cache_bytes
-        # the bases are the first rows of the cache, not a second copy
-        assert np.shares_memory(engine.bases, products)
-        assert np.array_equal(products[: engine.n_bases], engine.bases.reshape(engine.n_bases, -1))
+        nb = engine.bases.count
+        cache_bytes, _ = _engine_bytes(3, nb, order, 1)
+        assert engine.products.nbytes == cache_bytes
+        # the bases lead the cache
+        assert np.array_equal(engine.products[:nb], engine.bases.dense().reshape(nb, -1))
 
     def test_allocation_failure_is_a_size_error(self, circular, monkeypatch):
-        import annealsim.magnus as magnus_mod
+        from annealsim.hamiltonian import _BaseOperators
 
-        def fail(self, order):
+        def fail(self):
             raise MemoryError("Unable to allocate")
 
-        monkeypatch.setattr(magnus_mod._StepEngine, "stacked_products", fail)
+        monkeypatch.setattr(_BaseOperators, "dense", fail)
         with pytest.raises(qa.SizeError, match="out of memory"):
             qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, n_steps=4)
 

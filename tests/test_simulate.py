@@ -8,6 +8,15 @@ import annealsim.magnus as magnus_mod
 from conftest import random_model
 
 
+def dw_glass(seed):
+    """A 5-qubit glass: couplings +-1 on every pair, fields +-0.5 on every qubit."""
+    rng = np.random.default_rng(seed)
+    glass = {pair: float(rng.choice((-1.0, 1.0)))
+             for pair in itertools.combinations(range(1, 6), 2)}
+    glass.update({(i,): float(rng.choice((-0.5, 0.5))) for i in range(1, 6)})
+    return glass
+
+
 def slope_above_floor(ns, ds, floor=1e-12):
     pts = [(np.log2(n), np.log2(d)) for n, d in zip(ns, ds) if d > floor]
     return np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]
@@ -208,14 +217,32 @@ class TestAdaptive:
         table = qa.load_schedule_csv(path, driver_sign=-1)
         sched = qa.AnnealingSchedule(A=table.A, B=table.B, driver_sign=-1,
                                      kinks=tuple(nodes[1:-1]))
-        rng = np.random.default_rng(1)
-        glass = {pair: float(rng.choice((-1.0, 1.0)))
-                 for pair in itertools.combinations(range(1, 6), 2)}
-        glass.update({(i,): float(rng.choice((-0.5, 0.5))) for i in range(1, 6)})
+        glass = dw_glass(1)
         result = qa.simulate(glass, 5.0, sched)
         fine = qa.simulate_fixed(glass, 5.0, sched, n_steps=2048)
         assert result.steps_used > 36
         assert qa.trace_distance(result.rho, fine.rho) <= 1e-6
+
+    def test_table_nodes_are_step_boundaries(self, tmp_path):
+        """A table loaded from CSV splits the steps at its nodes.
+
+        The interpolant's derivative jumps at every node, so a table of N rows
+        takes at least N - 1 steps per level.  With steps that straddle the
+        nodes, this 37-row table of the D-Wave envelopes stops at 4096 steps,
+        about 1e-7 in trace distance from a resolved run.
+        """
+        nodes = np.linspace(0.0, 1.0, 37)
+        path = tmp_path / "dw.csv"
+        qa.save_schedule_csv(qa.builtin_schedule("dw_quadratic"), path, s_grid=nodes)
+        table = qa.load_schedule_csv(path, driver_sign=-1)
+        assert table.kinks == tuple(nodes[1:-1])
+        kinked = qa.AnnealingSchedule(A=table.A, B=table.B, driver_sign=-1,
+                                      kinks=tuple(nodes[1:-1]))
+        glass = dw_glass(1)
+        result = qa.simulate(glass, 5.0, table)
+        fine = qa.simulate_fixed(glass, 5.0, kinked, n_steps=8192)
+        assert result.steps_used <= 2048
+        assert qa.trace_distance(result.rho, fine.rho) <= 1e-8
 
     def test_trace_entries_record_doubling(self, circular):
         result = qa.simulate(qa.single_field_model(), 5.0, circular, initial_steps=4)
@@ -308,6 +335,24 @@ class TestKinkHandling:
         magnus = qa.simulate_fixed(model, 0.5, sched, order=4, n_steps=1024)
         rk = qa.simulate_reference_rk(model, 0.5, sched, n_steps=200_000)
         assert qa.trace_distance(magnus.rho, rk.rho) <= 1e-8
+
+
+class TestStepGrid:
+    def test_many_kinks_match_brute_force(self):
+        from annealsim.magnus import _step_grid
+
+        n = 1000
+        uniform = np.linspace(0.0, 1.0, n + 1)
+        kinks = list(np.random.default_rng(3).uniform(0.0, 1.0, size=400))
+        # within 1e-12 of an edge, exactly on one, just past 1e-12, and outside (0, 1)
+        kinks += [uniform[123] + 5e-13, uniform[789] - 5e-13, uniform[456],
+                  uniform[321] + 2e-12, 0.0, 1.0, -0.5, 1.5]
+        extra = [q for q in kinks if 0.0 < q < 1.0 and np.abs(uniform - q).min() > 1e-12]
+        edges = np.sort(np.concatenate([uniform, extra]))
+        starts, widths = _step_grid(n, kinks)
+        assert starts.size == n + 401
+        assert np.array_equal(starts, edges[:-1])
+        assert np.array_equal(widths, np.diff(edges))
 
 
 class TestNonFiniteGenerators:
