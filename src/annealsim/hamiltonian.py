@@ -155,7 +155,7 @@ def transverse_matrix(n_qubits: int) -> np.ndarray:
     """Sum of Pauli-X operators over all qubits as a dense symmetric matrix."""
     _validate_qubit_count(n_qubits)
     n = int(n_qubits)
-    return _BaseOperators(n, 1, np.zeros(1 << n), None).dense()[0]
+    return _BaseOperators(n, 1, np.zeros(1 << n), None).dense(1)[0]
 
 
 def ising_diagonal(model: IsingModel | Mapping) -> np.ndarray:
@@ -228,12 +228,19 @@ class _BaseOperators:
         out[:, 1] = _eval_envelope(schedule.B, s)
         return out
 
-    def dense(self) -> np.ndarray:
-        """The real stack ``(count, dim, dim)``, filled in place, so that no
-        dim x dim temporary is made."""
-        out = np.zeros((self.count, self.dim, self.dim))
+    def hamiltonians(self, schedule, s: np.ndarray, operators: np.ndarray) -> np.ndarray:
+        """``H`` at every point of ``s``, from the stack ``operators`` that
+        :meth:`dense` built."""
+        return _combine(self.envelopes(schedule, s), operators)
+
+    def dense(self, count: int | None = None) -> np.ndarray:
+        """The real stack ``(count, dim, dim)`` of the first ``count`` bases
+        (all by default), filled in place, so that no dim x dim temporary is
+        made."""
+        terms = self.terms[:count]
+        out = np.zeros((len(terms), self.dim, self.dim))
         idx = np.arange(self.dim)
-        for base, (flips, diagonal) in zip(out, self.terms):
+        for base, (flips, diagonal) in zip(out, terms):
             for k, w in flips:
                 base[idx, idx ^ (1 << k)] = w
             if diagonal is not None:
@@ -289,7 +296,7 @@ def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = Non
         raise ValueError(f"s must lie in [0, 1], got {s}")
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
-    return _combine(bases.envelopes(schedule, np.array([float(s)])), bases.dense())[0]
+    return bases.hamiltonians(schedule, np.array([float(s)]), bases.dense())[0]
 
 
 def eigenspectrum(
@@ -311,7 +318,7 @@ def eigenspectrum(
     levels = np.empty((grid.size, bases.dim))
     chunk = max(1, (1 << 22) // (bases.dim * bases.dim))
     for lo in range(0, grid.size, chunk):
-        stack = _combine(bases.envelopes(schedule, grid[lo : lo + chunk]), operators)
+        stack = bases.hamiltonians(schedule, grid[lo : lo + chunk], operators)
         levels[lo : lo + chunk] = np.linalg.eigvalsh(stack)
     return SpectrumResult(s_grid=grid, levels=levels)
 

@@ -1094,7 +1094,7 @@ def simulate_reference_rk(
         hi = min(lo + chunk, n_steps)
         # H at the step ends and midpoints of this chunk
         pts = np.linspace(lo * h, hi * h, 2 * (hi - lo) + 1)
-        hs = _combine(bases.envelopes(schedule, pts), operators)
+        hs = bases.hamiltonians(schedule, pts, operators)
         for i in range(hi - lo):
             h_start, h_mid, h_end = hs[2 * i], hs[2 * i + 1], hs[2 * i + 2]
             k1 = rhs(h_start, rho)

@@ -139,10 +139,8 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
     """Load a tabulated schedule and interpolate it piecewise-linearly.
 
     The file must have the header ``s,a,b`` followed by numeric rows with a
-    strictly increasing ``s`` column whose range covers [0, 1].  The
-    interpolant has a derivative jump at every node, so the nodes inside
-    (0, 1) become the schedule's ``kinks`` and no step straddles one: a table
-    of N rows, all in [0, 1], takes at least N - 1 steps per level.
+    strictly increasing ``s`` column whose range covers [0, 1].  The nodes
+    are not ``kinks``: steps may straddle them.
     """
     path = Path(path)
     rows: list[tuple[float, float, float]] = []
@@ -190,7 +188,6 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
         B=interp_b,
         driver_sign=driver_sign,
         name=path.stem,
-        kinks=tuple(float(x) for x in s[(s > 0.0) & (s < 1.0)]),
         table=(tuple(s), tuple(a), tuple(b)),
     )
 

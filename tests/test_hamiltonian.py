@@ -111,6 +111,10 @@ class TestTransverseMatrix:
     def test_row_sums_equal_qubit_count(self):
         assert np.allclose(qa.transverse_matrix(3).sum(axis=1), 3.0)
 
+    def test_holds_one_matrix(self):
+        m = qa.transverse_matrix(4)
+        assert (m if m.base is None else m.base).nbytes == m.nbytes
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_spectrum_is_binomial(self, n):
         eigs = np.linalg.eigvalsh(qa.transverse_matrix(n))

@@ -223,26 +223,29 @@ class TestAdaptive:
         assert result.steps_used > 36
         assert qa.trace_distance(result.rho, fine.rho) <= 1e-6
 
-    def test_table_nodes_are_step_boundaries(self, tmp_path):
-        """A table loaded from CSV splits the steps at its nodes.
+    def test_table_levels_halve_every_step(self, tmp_path, monkeypatch):
+        """Each level of a table run halves every step of the last one.
 
-        The interpolant's derivative jumps at every node, so a table of N rows
-        takes at least N - 1 steps per level.  With steps that straddle the
-        nodes, this 37-row table of the D-Wave envelopes stops at 4096 steps,
-        about 1e-7 in trace distance from a resolved run.
+        Only then does the difference of two levels measure the error of the
+        finer one.  With the nodes of this 1001-row table inserted into the
+        uniform grid as kinks, the 2- and 16-step levels would have 1000 and
+        1008 steps, and their difference would measure just the 8 split ones.
         """
-        nodes = np.linspace(0.0, 1.0, 37)
         path = tmp_path / "dw.csv"
-        qa.save_schedule_csv(qa.builtin_schedule("dw_quadratic"), path, s_grid=nodes)
+        qa.save_schedule_csv(qa.builtin_schedule("dw_quadratic"), path)
         table = qa.load_schedule_csv(path, driver_sign=-1)
-        assert table.kinks == tuple(nodes[1:-1])
-        kinked = qa.AnnealingSchedule(A=table.A, B=table.B, driver_sign=-1,
-                                      kinks=tuple(nodes[1:-1]))
-        glass = dw_glass(1)
-        result = qa.simulate(glass, 5.0, table)
-        fine = qa.simulate_fixed(glass, 5.0, kinked, n_steps=8192)
-        assert result.steps_used <= 2048
-        assert qa.trace_distance(result.rho, fine.rho) <= 1e-8
+        simulate_fixed = magnus_mod.simulate_fixed
+        steps = []
+
+        def recording(*args, **kwargs):
+            result = simulate_fixed(*args, **kwargs)
+            steps.append(result.steps_used)
+            return result
+
+        monkeypatch.setattr(magnus_mod, "simulate_fixed", recording)
+        qa.simulate(dw_glass(1), 1.0, table)
+        assert len(steps) >= 3
+        assert all(finer == 2 * coarser for coarser, finer in zip(steps, steps[1:]))
 
     def test_trace_entries_record_doubling(self, circular):
         result = qa.simulate(qa.single_field_model(), 5.0, circular, initial_steps=4)
