@@ -1,13 +1,13 @@
 """Magnus-expansion propagator and simulation drivers.
 
 The evolution ``d rho / ds = -i tau [H(s), rho]`` over ``s in [0, 1]`` is
-split into uniform steps.  On each step the envelopes ``A`` and ``B`` are
-replaced by their local quadratic fits, turning the step generator into a
-degree-2 matrix polynomial ``P(u) = C0 + C1 u + C2 u**2`` in the unit step
-variable, with the factor ``-i tau ds`` absorbed into the coefficients.  All
-the nested integrals of the Magnus series are then evaluated in closed form
-by polynomial algebra on the coefficient matrices; numerical quadrature never
-enters the propagator.
+split into steps, uniform between the schedule's kinks.  On each step the
+envelopes ``A`` and ``B`` are replaced by their local quadratic fits,
+turning the step generator into a degree-2 matrix polynomial
+``P(u) = C0 + C1 u + C2 u**2`` in the unit step variable, with the factor
+``-i tau ds`` absorbed into the coefficients.  All the nested integrals of
+the Magnus series are then evaluated in closed form by polynomial algebra on
+the coefficient matrices; numerical quadrature never enters the propagator.
 
 Every order runs through one batched engine, whose series weights come from
 the Bernoulli-number recursion run once on symbols (:func:`_series_weights`).
@@ -465,8 +465,8 @@ class SolverConfig:
     ``order`` is the number of Magnus series terms kept.  One term gives a
     second-order method (global error O(h^2)); two or more terms give
     fourth order, the cap set by the quadratic envelope fit on each step.
-    ``n_steps`` set means a single fixed-resolution run; otherwise the step
-    count starts at ``initial_steps`` and doubles until two successive
+    ``n_steps`` set means a single fixed-resolution run; otherwise the run
+    starts at ``initial_steps`` and halves every step until two successive
     results agree within both element-wise tolerances.
     """
 
@@ -583,20 +583,35 @@ def _preflight(need: int, n_qubits: int, n_bases: int, order: int) -> None:
         )
 
 
-def _step_grid(n_steps: int, kinks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform step edges with schedule kinks inserted as extra boundaries.
-
-    A kink within 1e-12 of a uniform edge adds none.
-    """
-    edges = np.linspace(0.0, 1.0, n_steps + 1)
+def _segments(n_steps: int, kinks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Segment bounds of [0, 1] at the kinks, and the step count of each at level 0."""
     q = np.asarray(kinks, dtype=float)
-    q = q[(q > 0.0) & (q < 1.0)]
-    if q.size:
-        # edges[i - 1] < q <= edges[i], and the nearest edge is one of the two
-        i = np.searchsorted(edges, q)
-        extra = q[np.minimum(edges[i] - q, q - edges[i - 1]) > 1e-12]
-        edges = np.sort(np.concatenate([edges, extra]))
-    return edges[:-1], np.diff(edges)
+    points = np.sort(np.concatenate([[0.0, 1.0], q[(q > 0.0) & (q < 1.0)]]))
+    bounds = points[np.concatenate([[True], np.diff(points) > 1e-12])]
+    bounds[-1] = 1.0
+    counts = np.maximum(1, np.ceil(n_steps * (np.diff(bounds) - 1e-12))).astype(np.int64)
+    return bounds, counts
+
+
+def _step_grid(n_steps: int, kinks: Sequence[float], level: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Step starts and widths: [0, 1] split at the kinks, each piece uniform.
+
+    Kinks outside (0, 1) are dropped, and a kink within 1e-12 of the one
+    before it (or of 0 or 1) merges into it.  A segment of width ``w`` gets
+    ``max(1, ceil(n_steps * w)) * 2**level`` steps, a width within 1e-12 of
+    a multiple of ``1 / n_steps`` counting as that multiple; so each level
+    halves every step of the one before, and no step straddles a kink.
+    Without kinks the edges are ``np.linspace(0, 1, n_steps * 2**level + 1)``.
+    """
+    bounds, base = _segments(n_steps, kinks)
+    widths = np.diff(bounds)
+    counts = base << level
+    # the k-th step of a segment starts at k * (width / count) past its start,
+    # the same arithmetic as np.linspace
+    first = np.cumsum(counts) - counts
+    k = np.arange(int(counts.sum())) - np.repeat(first, counts)
+    starts = np.repeat(bounds[:-1], counts) + k * np.repeat(widths / counts, counts)
+    return starts, np.diff(np.append(starts, 1.0))
 
 
 def _initial_state(n_qubits: int, kind: str) -> np.ndarray:
@@ -895,13 +910,20 @@ def simulate_fixed(
     order: int = 4,
     n_steps: int = 1024,
     offsets: FieldOffsets | None = None,
+    *,
+    _level: int = 0,
 ) -> SimulationResult:
-    """Propagate with a fixed number of uniform steps.
+    """Propagate with about ``n_steps`` uniform steps, split at the kinks.
 
     The density matrix evolves as ``U rho U*`` with one unitary per step.
     The initial state is pure, so the state vector is propagated instead,
     which is observationally identical; the result forms the density matrix
-    only when ``rho`` is read.  Steps are split at schedule kinks.  Below
+    only when ``rho`` is read.  The schedule's kinks split [0, 1] into
+    segments, and a segment of width ``w`` takes ``ceil(n_steps * w)``
+    uniform steps of its own, so no step straddles a kink and
+    ``steps_used`` can exceed ``n_steps``; without kinks the steps are
+    exactly ``n_steps`` uniform ones.  ``_level`` halves every step that
+    many times; it is the doubling level of :func:`simulate`.  Below
     seven qubits the step unitaries are dense; from seven on each step acts
     on the vector by Lanczos, and a step too wide for that (spectral
     half-width of ``i Omega`` above 250) raises :class:`NumericalError`.
@@ -914,7 +936,7 @@ def simulate_fixed(
     if tau < 0:
         raise ValueError(f"evolution time must be >= 0, got {tau}")
     model, offsets = _prepare(model, offsets)
-    starts, widths = _step_grid(n_steps, schedule.kinks)
+    starts, widths = _step_grid(n_steps, schedule.kinks, _level)
     kind = _KrylovEngine if model.n_qubits >= _KRYLOV_MIN_QUBITS else _StepEngine
     try:
         engine = kind(model, schedule, offsets, order, starts.size)
@@ -932,10 +954,11 @@ def simulate_fixed(
     )
 
 
-def _run_level(model, tau, schedule, order, n_steps, offsets) -> SimulationResult | None:
+def _run_level(model, tau, schedule, order, n_steps, offsets, level) -> SimulationResult | None:
     """One doubling level, or None where its steps are too wide for the Krylov path."""
     try:
-        return simulate_fixed(model, tau, schedule, order=order, n_steps=n_steps, offsets=offsets)
+        return simulate_fixed(model, tau, schedule, order=order, n_steps=n_steps,
+                              offsets=offsets, _level=level)
     except _WideStepError:
         return None
 
@@ -953,14 +976,18 @@ def simulate(
 ) -> SimulationResult:
     """Propagate with adaptive step doubling.
 
-    Runs fixed-step simulations at ``initial_steps, 2*initial_steps, ...``
-    until two successive final states agree within both the mean and max
-    element-wise tolerances, then returns the finer result together with the
-    full convergence trace.  The states are compared as state vectors: the
-    entries of their density matrices are formed a block of rows at a time
-    (:func:`error_max`, :func:`error_mean`), never as whole matrices.  Levels
-    that add no step edge to the last one, and levels too coarse for the
-    Krylov path, are skipped, not compared.
+    Runs :func:`simulate_fixed` at ``n_steps=initial_steps`` and then at
+    levels that each halve every step of the one before, until two
+    successive final states agree within both the mean and max element-wise
+    tolerances; it returns the finer result together with the full
+    convergence trace, whose entries give the finer level's step count.
+    Without kinks the levels take ``initial_steps, 2*initial_steps, ...``
+    steps; with them each segment between kinks is refined on its own (a
+    table of ``N`` rows costs ``3 (N - 1)`` steps at least).  The states are
+    compared as state vectors: the entries of their density matrices are
+    formed a block of rows at a time (:func:`error_max`,
+    :func:`error_mean`), never as whole matrices.  Levels too coarse for the
+    Krylov path are skipped, not compared.
     """
     config = SolverConfig(
         order=order,
@@ -971,19 +998,13 @@ def simulate(
     )
     trace: list[tuple[int, float, float]] = []
     n = config.initial_steps
-    previous = _run_level(model, tau, schedule, order, n, offsets)
-    for _ in range(config.max_doublings):
-        n *= 2
-        # Each level's edges contain the last one's, so an equal count means
-        # equal edges: kinks can fill every new uniform edge.  That level would
-        # repeat the last result and fake convergence; double again instead.
-        if previous is not None and _step_grid(n, schedule.kinks)[0].size == previous.steps_used:
-            continue
-        current = _run_level(model, tau, schedule, order, n, offsets)
+    previous = _run_level(model, tau, schedule, order, n, offsets, 0)
+    for level in range(1, config.max_doublings + 1):
+        current = _run_level(model, tau, schedule, order, n, offsets, level)
         if previous is not None and current is not None:
             e_max = error_max(previous.state, current.state)
             e_mean = error_mean(previous.state, current.state)
-            trace.append((n, e_max, e_mean))
+            trace.append((current.steps_used, e_max, e_mean))
             if e_max <= config.max_tol and e_mean <= config.mean_tol:
                 return SimulationResult(
                     state=current.state,
@@ -995,10 +1016,11 @@ def simulate(
                               "mean_tol": mean_tol, "max_tol": max_tol},
                 )
         previous = current
+    steps = int(_segments(n, schedule.kinks)[1].sum()) << config.max_doublings
     last = f", E_max={trace[-1][1]:.3e}, E_mean={trace[-1][2]:.3e}" if trace else ""
     raise ConvergenceError(
         f"step doubling did not converge within {config.max_doublings} doublings "
-        f"(last n_steps={n}{last})",
+        f"(last n_steps={steps}{last})",
         trace,
     )
 

@@ -139,8 +139,10 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
     """Load a tabulated schedule and interpolate it piecewise-linearly.
 
     The file must have the header ``s,a,b`` followed by numeric rows with a
-    strictly increasing ``s`` column whose range covers [0, 1].  The nodes
-    are not ``kinks``: steps may straddle them.
+    strictly increasing ``s`` column whose range covers [0, 1].  The
+    interpolant's slope jumps at every node, so the nodes inside (0, 1) are
+    the schedule's ``kinks``: every node is a step boundary, and a table of
+    ``N`` rows costs an adaptive run ``3 (N - 1)`` steps at least.
     """
     path = Path(path)
     rows: list[tuple[float, float, float]] = []
@@ -188,6 +190,7 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
         B=interp_b,
         driver_sign=driver_sign,
         name=path.stem,
+        kinks=tuple(float(x) for x in s[(s > 0.0) & (s < 1.0)]),
         table=(tuple(s), tuple(a), tuple(b)),
     )
 

@@ -17,6 +17,17 @@ def dw_glass(seed):
     return glass
 
 
+# the 37 nodes of the benchmark's table, spaced 1/36
+NODES_37 = np.linspace(0.0, 1.0, 37)
+
+
+def dw_table(tmp_path, s_grid=None):
+    """The D-Wave envelopes as a table, by default of 1001 uniform rows."""
+    path = tmp_path / "dw.csv"
+    qa.save_schedule_csv(qa.builtin_schedule("dw_quadratic"), path, s_grid=s_grid)
+    return qa.load_schedule_csv(path, driver_sign=-1)
+
+
 def slope_above_floor(ns, ds, floor=1e-12):
     pts = [(np.log2(n), np.log2(d)) for n, d in zip(ns, ds) if d > floor]
     return np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]
@@ -208,15 +219,12 @@ class TestAdaptive:
 
     def test_levels_with_no_new_edge_are_not_compared(self, tmp_path):
         # A 37-node table of the D-Wave envelopes with every interior node a
-        # kink: 1/4, 1/2 and 3/4 are nodes, so the 2- and 4-step grids are the
-        # same 36 segments, and comparing them would accept a state that is
-        # 0.2 away in trace distance.
-        nodes = np.linspace(0.0, 1.0, 37)
-        path = tmp_path / "dw.csv"
-        qa.save_schedule_csv(qa.builtin_schedule("dw_quadratic"), path, s_grid=nodes)
-        table = qa.load_schedule_csv(path, driver_sign=-1)
+        # kink: 1/4, 1/2 and 3/4 are nodes, so uniform 2- and 4-step grids
+        # with the kinks inserted would be the same 36 segments, and
+        # comparing them would accept a state 0.2 away in trace distance.
+        table = dw_table(tmp_path, NODES_37)
         sched = qa.AnnealingSchedule(A=table.A, B=table.B, driver_sign=-1,
-                                     kinks=tuple(nodes[1:-1]))
+                                     kinks=tuple(NODES_37[1:-1]))
         glass = dw_glass(1)
         result = qa.simulate(glass, 5.0, sched)
         fine = qa.simulate_fixed(glass, 5.0, sched, n_steps=2048)
@@ -227,13 +235,12 @@ class TestAdaptive:
         """Each level of a table run halves every step of the last one.
 
         Only then does the difference of two levels measure the error of the
-        finer one.  With the nodes of this 1001-row table inserted into the
+        finer one.  With the nodes of this 1001-row table inserted into a
         uniform grid as kinks, the 2- and 16-step levels would have 1000 and
         1008 steps, and their difference would measure just the 8 split ones.
+        At tau 50 the run takes three levels: 1000, 2000 and 4000 steps.
         """
-        path = tmp_path / "dw.csv"
-        qa.save_schedule_csv(qa.builtin_schedule("dw_quadratic"), path)
-        table = qa.load_schedule_csv(path, driver_sign=-1)
+        table = dw_table(tmp_path)
         simulate_fixed = magnus_mod.simulate_fixed
         steps = []
 
@@ -243,9 +250,40 @@ class TestAdaptive:
             return result
 
         monkeypatch.setattr(magnus_mod, "simulate_fixed", recording)
-        qa.simulate(dw_glass(1), 1.0, table)
+        result = qa.simulate(dw_glass(1), 50.0, table)
         assert len(steps) >= 3
         assert all(finer == 2 * coarser for coarser, finer in zip(steps, steps[1:]))
+        assert [entry[0] for entry in result.convergence_trace] == steps[1:]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_table_run_is_within_tolerance(self, tmp_path, seed):
+        # The default 1001-row table: with steps straddling its nodes the run
+        # stopped at 512 steps, 1.3e-8 to 2e-8 (mean) from a resolved run.
+        table, glass = dw_table(tmp_path), dw_glass(seed)
+        result = qa.simulate(glass, 5.0, table)
+        resolved = qa.simulate_fixed(glass, 5.0, table, n_steps=4000)
+        assert qa.error_max(result.state, resolved.state) <= 1e-6
+        assert qa.error_mean(result.state, resolved.state) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_node_table_converges_in_few_steps(self, tmp_path, seed):
+        # 36 segments of 16 or 32 steps each
+        table, glass = dw_table(tmp_path, NODES_37), dw_glass(seed)
+        result = qa.simulate(glass, 5.0, table)
+        fine = qa.simulate_fixed(glass, 5.0, table, n_steps=4096)
+        assert result.steps_used <= 1152
+        assert qa.trace_distance(result.rho, fine.rho) <= 1e-8
+
+    def test_table_level_differences_fall_monotonically(self, tmp_path):
+        # With steps straddling the nodes they rose from 8 to 32 steps.
+        with pytest.raises(qa.ConvergenceError) as excinfo:
+            qa.simulate(dw_glass(0), 5.0, dw_table(tmp_path, NODES_37), mean_tol=1e-30,
+                        max_tol=1e-30, max_doublings=6)
+        trace = excinfo.value.trace
+        assert [entry[0] for entry in trace] == [72 * 2**k for k in range(6)]
+        assert "last n_steps=2304" in str(excinfo.value)
+        for coarser, finer in zip(trace, trace[1:]):
+            assert finer[1] < coarser[1] / 2 and finer[2] < coarser[2] / 2
 
     def test_trace_entries_record_doubling(self, circular):
         result = qa.simulate(qa.single_field_model(), 5.0, circular, initial_steps=4)
@@ -341,21 +379,46 @@ class TestKinkHandling:
 
 
 class TestStepGrid:
+    @staticmethod
+    def brute_force(n, kinks, level):
+        """The per-segment grid, built one kink and one segment at a time."""
+        points = sorted([0.0, 1.0] + [q for q in kinks if 0.0 < q < 1.0])
+        bounds = [0.0]
+        for before, q in zip(points, points[1:]):
+            if q - before > 1e-12:
+                bounds.append(q)
+        bounds[-1] = 1.0
+        edges = []
+        for a, b in zip(bounds, bounds[1:]):
+            m = next(m for m in itertools.count(1) if m >= n * (b - a - 1e-12))
+            edges.extend(np.linspace(a, b, m * 2**level + 1)[:-1])
+        return np.array(edges + [1.0])
+
     def test_many_kinks_match_brute_force(self):
         from annealsim.magnus import _step_grid
 
         n = 1000
-        uniform = np.linspace(0.0, 1.0, n + 1)
         kinks = list(np.random.default_rng(3).uniform(0.0, 1.0, size=400))
-        # within 1e-12 of an edge, exactly on one, just past 1e-12, and outside (0, 1)
-        kinks += [uniform[123] + 5e-13, uniform[789] - 5e-13, uniform[456],
-                  uniform[321] + 2e-12, 0.0, 1.0, -0.5, 1.5]
-        extra = [q for q in kinks if 0.0 < q < 1.0 and np.abs(uniform - q).min() > 1e-12]
-        edges = np.sort(np.concatenate([uniform, extra]))
-        starts, widths = _step_grid(n, kinks)
-        assert starts.size == n + 401
-        assert np.array_equal(starts, edges[:-1])
-        assert np.array_equal(widths, np.diff(edges))
+        # within 1e-12 of another kink on either side, on one, and just past 1e-12
+        kinks += [kinks[123] + 5e-13, kinks[389] - 5e-13, kinks[222], kinks[321] + 2e-12]
+        # near-coincident kinks: a chain 6e-13 apart merges into its first
+        kinks += [0.4, 0.4 + 6e-13, 0.4 + 1.2e-12]
+        # within, on and just past 1e-12 of 0 and 1, and outside (0, 1)
+        kinks += [5e-13, 1.0 - 5e-13, 2e-12, 1.0 - 2e-12, 0.0, 1.0, -0.5, 1.5]
+        for level in (0, 2):
+            edges = self.brute_force(n, kinks, level)
+            starts, widths = _step_grid(n, kinks, level)
+            assert np.array_equal(starts, edges[:-1])
+            assert np.array_equal(widths, np.diff(edges))
+        # 404 bounds inside (0, 1): the 400 drawn kinks, kinks[321] + 2e-12,
+        # 0.4, 2e-12 and 1 - 2e-12
+        assert _step_grid(1, kinks)[0].size == 405
+        # without kinks, exactly np.linspace
+        for n, level in itertools.product((1, 2, 3, 10, 97, 1000), (0, 1, 5)):
+            edges = np.linspace(0.0, 1.0, n * 2**level + 1)
+            starts, widths = _step_grid(n, (), level)
+            assert np.array_equal(starts, edges[:-1])
+            assert np.array_equal(widths, np.diff(edges))
 
 
 class TestNonFiniteGenerators:
