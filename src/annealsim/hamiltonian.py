@@ -7,15 +7,18 @@ as a length ``2**n`` vector.
 
 :class:`_BaseOperators` alone describes the fixed operators whose weighted
 sum is ``H(s)``: the driver, the Ising diagonal and the optional field
-offsets, each as bit flips plus a diagonal.  Every ``H(s)``, every step
-generator of :mod:`annealsim.magnus` and every matrix-free product of its
-Krylov path is formed from it.
+offsets, each as bit flips plus a diagonal, on the full space or on one
+sector of the global spin flip.  Every ``H(s)``, every step generator of
+:mod:`annealsim.magnus` and every matrix-free product of its Krylov path is
+formed from it.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -197,29 +200,68 @@ def _eval_envelope(fn, points: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(x))) for x in points])
 
 
+@cache
+def _mask_axes(n_bits: int, mask: int) -> tuple[int, ...]:
+    """The axes of a (p, 2, ..., 2) block that hold the bits set in ``mask``;
+    bit ``k`` is axis ``n_bits - k``."""
+    return tuple(n_bits - k for k in range(n_bits) if mask >> k & 1)
+
+
 class _BaseOperators:
     """The fixed real operators whose weighted sum is ``H(s)``.
 
     They are the driver ``sign * sum_k X_k``, the Ising part ``diag(E)`` and,
     when an offset is nonzero, the constant field ``sum_k x_k X_k + z_k Z_k``,
-    weighted by ``A(s)``, ``B(s)`` and 1.  Each is held as a list of bit flips
-    ``(k, w)``, meaning ``w X`` on bit ``k``, plus a diagonal or None.  They
-    are formed as a dense stack (:meth:`dense`) or applied to a block of
-    vectors without one (:meth:`apply`).
+    weighted by ``A(s)``, ``B(s)`` and 1.  Each is held as a list of flips
+    ``(mask, w)``, meaning ``w`` times the operator that flips every bit set
+    in ``mask``, plus a diagonal or None.  They are formed as a dense stack
+    (:meth:`dense`) or applied to a block of vectors without one
+    (:meth:`apply`).
+
+    Where every diagonal reads the same backwards, so that no field and no Z
+    offset breaks the symmetry, every base commutes with the global spin flip
+    ``F = prod_k X_k``; :meth:`flip_sector` then describes the same bases on
+    one eigenspace of ``F``, on ``n_bits = n_qubits - 1`` bits.
     """
 
     def __init__(self, n_qubits: int, driver_sign: int, diagonal: np.ndarray,
                  offsets: FieldOffsets | None):
-        self.n_qubits = n_qubits
+        self.n_bits = n_qubits
         self.dim = 1 << n_qubits
         self.terms: list[tuple[list[tuple[int, float]], np.ndarray | None]] = [
-            ([(k, float(driver_sign)) for k in range(n_qubits)], None),
+            ([(1 << k, float(driver_sign)) for k in range(n_qubits)], None),
             ([], diagonal),
         ]
         if offsets is not None and offsets.any_nonzero():
-            self.terms.append(([(k, w) for k, w in enumerate(offsets.x) if w != 0.0],
+            self.terms.append(([(1 << k, w) for k, w in enumerate(offsets.x) if w != 0.0],
                                _spin_table(n_qubits) @ np.asarray(offsets.z)))
         self.count = len(self.terms)
+
+    def flip_symmetric(self) -> bool:
+        """Whether every base commutes with ``F``, as it does when every
+        diagonal reads the same backwards; one bit has no sector to reduce to."""
+        return self.n_bits >= 2 and all(
+            diagonal is None or np.array_equal(diagonal, diagonal[::-1])
+            for _, diagonal in self.terms)
+
+    def flip_sector(self, parity: int) -> "_BaseOperators":
+        """The bases on the eigenspace ``F = parity`` of a flip-symmetric set.
+
+        Basis state ``r < dim / 2`` stands for ``(|r> + parity |~r>) / sqrt(2)``.
+        A diagonal keeps its first half.  A flip of any lower bit stays one;
+        a flip of the top bit lands on ``~(r ^ rest)``, so it becomes
+        ``parity`` times the flip of all ``n_bits - 1`` remaining bits.
+        """
+        sector = copy.copy(self)
+        top = 1 << (self.n_bits - 1)
+        sector.n_bits = self.n_bits - 1
+        sector.dim = top
+        sector.terms = [
+            ([(mask, w) if mask < top else (top - 1, parity * w) for mask, w in flips],
+             None if diagonal is None else diagonal[:top])
+            for flips, diagonal in self.terms
+        ]
+        return sector
 
     def envelopes(self, schedule, s: np.ndarray) -> np.ndarray:
         """Weights ``(s.size, count)`` of the bases at every point of ``s``."""
@@ -236,13 +278,14 @@ class _BaseOperators:
     def dense(self, count: int | None = None) -> np.ndarray:
         """The real stack ``(count, dim, dim)`` of the first ``count`` bases
         (all by default), filled in place, so that no dim x dim temporary is
-        made."""
+        made.  Flips of one mask add up: on two qubits both driver flips
+        of a sector flip its one bit."""
         terms = self.terms[:count]
         out = np.zeros((len(terms), self.dim, self.dim))
         idx = np.arange(self.dim)
         for base, (flips, diagonal) in zip(out, terms):
-            for k, w in flips:
-                base[idx, idx ^ (1 << k)] = w
+            for mask, w in flips:
+                base[idx, idx ^ mask] += w
             if diagonal is not None:
                 base[idx, idx] = diagonal
         return out
@@ -250,11 +293,11 @@ class _BaseOperators:
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
         """out[a*p : (a+1)*p] = B_a src for every base a, src being (p, dim).
 
-        With the basis index split into one axis per bit, X_k reverses the
-        axis of bit k.
+        With the basis index split into one axis per bit, a flip reverses
+        the axes of the bits in its mask.
         """
         p = src.shape[0]
-        shape = (p,) + (2,) * self.n_qubits
+        shape = (p,) + (2,) * self.n_bits
         s = src.reshape(shape)
         for a, (flips, diagonal) in enumerate(self.terms):
             block = out[a * p : (a + 1) * p]
@@ -263,8 +306,8 @@ class _BaseOperators:
             else:
                 np.multiply(src, diagonal, out=block)
             o = block.reshape(shape)
-            for k, w in flips:
-                flipped = np.flip(s, self.n_qubits - k)
+            for mask, w in flips:
+                flipped = np.flip(s, _mask_axes(self.n_bits, mask))
                 if w == 1.0:
                     o += flipped
                 elif w == -1.0:

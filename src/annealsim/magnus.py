@@ -18,8 +18,10 @@ cross-agreement of the paths on random inputs is the main correctness gate of
 the package, see the test suite.
 
 Each step generator weighs the base operators of
-:class:`annealsim.hamiltonian._BaseOperators` by the fitted envelopes.  One
-loop propagates the state vector step by step (:meth:`_Engine.propagate`).
+:class:`annealsim.hamiltonian._BaseOperators` by the fitted envelopes; a
+model without fields or Z offsets runs on their restriction to one sector of
+the global spin flip, of half the dimension.  One loop propagates the state
+vector step by step (:meth:`_Engine.propagate`).
 Below seven qubits each step applies ``exp(Omega) = V exp(-i Lambda) V*``
 from the eigendecomposition of the Hermitian matrix ``i * Omega``, built from
 the dense bases; from seven qubits on ``exp(Omega) psi`` is computed by
@@ -629,6 +631,18 @@ def _fit_steps(bases: _BaseOperators, schedule: AnnealingSchedule, starts: np.nd
     return np.stack([scale * coeff for coeff in _unit_quadratic(*values)], axis=1)
 
 
+def _flip_parity(bases: _BaseOperators, psi0: np.ndarray) -> int | None:
+    """The eigenvalue of the global spin flip ``F`` on ``psi0`` where the
+    bases commute with ``F``, so that the run stays in that sector; else None.
+
+    Both start states are eigenstates of ``F``: all-plus of eigenvalue +1,
+    all-minus of ``(-1)**n``.
+    """
+    if not bases.flip_symmetric():
+        return None
+    return 1 if psi0[-1] == psi0[0] else -1
+
+
 def _word_count(n_bases: int, order: int) -> int:
     return sum(n_bases**k for k in range(1, order + 1))
 
@@ -638,18 +652,20 @@ def _chunk_steps(step_elements: int, order: int) -> int:
     return max(1, min(_CHUNK_ELEMENTS // max(step_elements, _word_count(3, order)), 1 << 16))
 
 
-def _engine_bytes(n_qubits: int, n_bases: int, order: int, steps: int) -> tuple[int, int]:
-    """Bytes of the product cache (bases included) and of a run's largest chunk."""
-    dim2 = 1 << (2 * n_qubits)
+def _engine_bytes(n_bits: int, n_bases: int, order: int, steps: int) -> tuple[int, int]:
+    """Bytes of the product cache (bases included) and of a run's largest
+    chunk, on a space of ``n_bits`` bits."""
+    dim2 = 1 << (2 * n_bits)
     cache = _word_count(n_bases, order) * dim2 * 8
     return cache, _CHUNK_ARRAYS * 16 * min(steps, _chunk_steps(dim2, order)) * dim2
 
 
-def _krylov_bytes(n_qubits: int, n_bases: int, order: int) -> int:
-    """Bytes of the Krylov path: the Lanczos basis, two work vectors and the
-    two buffers that hold the trie levels, the widest ``n_bases**order`` wide."""
+def _krylov_bytes(n_bits: int, n_bases: int, order: int) -> int:
+    """Bytes of the Krylov path on ``n_bits`` bits: the Lanczos basis, two
+    work vectors and the two buffers that hold the trie levels, the widest
+    ``n_bases**order`` wide."""
     vectors = _KRYLOV_MAX_DIM + 3 + n_bases**order + n_bases ** (order - 1)
-    return 16 * vectors * (1 << n_qubits)
+    return 16 * vectors * (1 << n_bits)
 
 
 def _word_weights(c: np.ndarray, order: int) -> np.ndarray:
@@ -681,6 +697,11 @@ class _Engine:
     scalar coefficients, so each series term is a weighted sum of products
     of base operators (:func:`_word_weights`).  An engine supplies how a
     chunk of those weights advances the state, and its memory estimate.
+
+    A flip-symmetric model that starts in an eigenstate of the global spin
+    flip never leaves that sector (:func:`_flip_parity`), so the engine
+    propagates on the sector's bases (:meth:`_BaseOperators.flip_sector`),
+    of half the dimension, and lifts the final state back to the full space.
     """
 
     propagator = ""
@@ -690,12 +711,18 @@ class _Engine:
                  offsets: FieldOffsets | None, order: int, steps: int = 1):
         self.schedule = schedule
         self.order = order
-        self.n_qubits = model.n_qubits
-        self.dim = 1 << model.n_qubits
-        self.bases = _BaseOperators(model.n_qubits, schedule.driver_sign,
-                                    ising_diagonal(model), offsets)
-        _preflight(self.memory_bytes(steps), model.n_qubits, self.bases.count, order)
-        self.psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
+        bases = _BaseOperators(model.n_qubits, schedule.driver_sign,
+                               ising_diagonal(model), offsets)
+        psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
+        self.parity = _flip_parity(bases, psi0)
+        if self.parity is not None:
+            bases = bases.flip_sector(self.parity)
+            # the sector's basis vectors carry 1/sqrt(2) on each of r and ~r
+            psi0 = math.sqrt(2.0) * psi0[: bases.dim]
+        self.bases = bases
+        self.dim = bases.dim
+        _preflight(self.memory_bytes(steps), model.n_qubits, bases.count, order)
+        self.psi0 = psi0
 
     def weights(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
         """Word weights (steps, words) of the generators of a batch of steps."""
@@ -703,7 +730,8 @@ class _Engine:
         return _word_weights(c, self.order)
 
     def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
-        """Final state: psi0 advanced through every step, a chunk at a time."""
+        """Final state on the full space: psi0 advanced through every step,
+        a chunk at a time."""
         psi = self.psi0
         chunk = _chunk_steps(self.step_elements, self.order)
         for lo in range(0, starts.size, chunk):
@@ -713,10 +741,15 @@ class _Engine:
                 bad = lo + int(np.argmin(finite))
                 raise NumericalError(f"non-finite step generator at step index {bad}")
             psi = self.advance(weights, psi)
+        if self.parity is not None:
+            psi = np.concatenate([psi, self.parity * psi[::-1]]) / math.sqrt(2.0)
         return psi
 
     def diagnostics(self) -> dict[str, Any]:
-        return {"propagator": self.propagator}
+        out: dict[str, Any] = {"propagator": self.propagator}
+        if self.parity is not None:
+            out["flip_sector"] = self.parity
+        return out
 
 
 class _StepEngine(_Engine):
@@ -749,7 +782,7 @@ class _StepEngine(_Engine):
         self.products = products.reshape(-1, dim * dim)
 
     def memory_bytes(self, steps: int) -> int:
-        return sum(_engine_bytes(self.n_qubits, self.bases.count, self.order, steps))
+        return sum(_engine_bytes(self.bases.n_bits, self.bases.count, self.order, steps))
 
     def generators(self, weights: np.ndarray) -> np.ndarray:
         """Step generators (steps, dim, dim) from their word weights."""
@@ -793,7 +826,7 @@ class _KrylovEngine(_Engine):
         self.splits = 0
 
     def memory_bytes(self, steps: int) -> int:
-        return _krylov_bytes(self.n_qubits, self.bases.count, self.order)
+        return _krylov_bytes(self.bases.n_bits, self.bases.count, self.order)
 
     def apply_omega(self, weights: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = sum over words w of weights[w] * B_w v."""
@@ -873,7 +906,7 @@ class _KrylovEngine(_Engine):
         return psi
 
     def diagnostics(self) -> dict[str, Any]:
-        return {"propagator": self.propagator, "krylov_max_dim": self.max_krylov_dim,
+        return {**super().diagnostics(), "krylov_max_dim": self.max_krylov_dim,
                 "krylov_splits": self.splits}
 
 
@@ -927,6 +960,14 @@ def simulate_fixed(
     seven qubits the step unitaries are dense; from seven on each step acts
     on the vector by Lanczos, and a step too wide for that (spectral
     half-width of ``i Omega`` above 250) raises :class:`NumericalError`.
+
+    A model of two qubits or more with no fields and no nonzero Z offset
+    commutes with the global spin flip ``prod_k X_k``, and both start states
+    are eigenstates of it, so such a run stays in one sector of half the
+    dimension.  Either path then propagates on that sector and lifts the
+    final state back to the full space; ``metadata["flip_sector"]`` gives the
+    sector's eigenvalue, +1 or -1, and is absent from a full-space run.  The
+    path is still chosen by the model's qubit count.
 
     ``order`` is the number of series terms kept: one term converges at
     order 2 in the step width, two or more at order 4, capped there by the

@@ -57,3 +57,14 @@ def random_model(rng: np.random.Generator, n_qubits: int) -> qa.IsingModel:
             if rng.random() < 0.5:
                 terms[(i, j)] = float(rng.normal())
     return qa.IsingModel.from_terms(terms, n_qubits=n_qubits)
+
+
+def sector_isometry(n_qubits: int, parity: int) -> np.ndarray:
+    """The (2**n, 2**(n-1)) isometry P whose column r is
+    (|r> + parity |~r>) / sqrt(2), ~r flipping all n bits."""
+    dim = 1 << n_qubits
+    half = np.arange(dim // 2)
+    iso = np.zeros((dim, dim // 2))
+    iso[half, half] = 1.0
+    iso[dim - 1 - half, half] = parity
+    return iso / np.sqrt(2.0)

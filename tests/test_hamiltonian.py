@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealsim as qa
-from conftest import FIVE_SPIN_GROUND_ENERGY, FIVE_SPIN_GROUND_INDICES, random_model
+from conftest import (
+    FIVE_SPIN_GROUND_ENERGY,
+    FIVE_SPIN_GROUND_INDICES,
+    random_model,
+    sector_isometry,
+)
 
 
 def brute_energy(terms, spins):
@@ -239,6 +244,47 @@ class TestBaseOperators:
         # each row of the block is a vector; the bases are symmetric
         expected = np.concatenate([block @ base for base in bases.dense()])
         assert np.abs(out - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_flip_sector_is_the_projection(self, n, sign, parity):
+        # on two qubits both driver flips become the flip of the sector's one bit
+        from annealsim.hamiltonian import _BaseOperators
+
+        rng = np.random.default_rng(20 * n + (sign > 0) + 2 * (parity > 0))
+        model = qa.IsingModel.from_terms(
+            {p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)},
+            n_qubits=n)
+        # an X offset on every qubit, the top one included
+        offsets = qa.FieldOffsets.from_vectors(x=rng.normal(size=n), n_qubits=n)
+        bases = _BaseOperators(n, sign, qa.ising_diagonal(model), offsets)
+        assert bases.flip_symmetric()
+        sector = bases.flip_sector(parity)
+        assert (sector.n_bits, sector.dim, sector.count) == (n - 1, 1 << (n - 1), 3)
+        iso = sector_isometry(n, parity)
+        expected = iso.T @ bases.dense() @ iso
+        assert np.abs(sector.dense() - expected).max() <= 1e-14
+        p, dim = 3, sector.dim
+        block = rng.normal(size=(p, dim)) + 1j * rng.normal(size=(p, dim))
+        out = np.empty((sector.count * p, dim), dtype=complex)
+        sector.apply(block, out)
+        assert np.abs(out - np.concatenate([block @ base for base in expected])).max() <= 1e-13
+
+    def test_fields_and_z_offsets_break_the_symmetry(self):
+        from annealsim.hamiltonian import _BaseOperators
+
+        chain = {(1, 2): 1.0, (2, 3): -0.7}
+        diag = qa.ising_diagonal(qa.IsingModel.from_terms(chain))
+        assert _BaseOperators(3, 1, diag, None).flip_symmetric()
+        field = qa.ising_diagonal(qa.IsingModel.from_terms({**chain, (2,): 1e-3}))
+        assert not _BaseOperators(3, 1, field, None).flip_symmetric()
+        z = qa.FieldOffsets.from_vectors(z=[0.0, 0.0, 1e-3])
+        assert not _BaseOperators(3, 1, diag, z).flip_symmetric()
+        x = qa.FieldOffsets.from_vectors(x=[0.0, 0.0, 0.4])
+        assert _BaseOperators(3, 1, diag, x).flip_symmetric()
+        # one qubit has no sector to reduce to
+        assert not _BaseOperators(1, 1, np.zeros(2), None).flip_symmetric()
 
 
 class TestEigenspectrum:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealsim as qa
+from conftest import sector_isometry
 
 
 def random_antihermitian(rng, dim):
@@ -249,10 +250,14 @@ class TestStepPolynomial:
         with pytest.raises(ValueError):
             qa.build_step_polynomial(model, circular, None, 1.0, 0.6, 0.5)
 
-    def test_engine_matches_explicit_path(self, five_spin, circular):
+    def test_engine_matches_explicit_path(self, five_spin, circular, monkeypatch):
+        import annealsim.magnus as magnus_mod
         from annealsim.magnus import _StepEngine, _step_grid
 
+        # on the full space; the sector case follows
+        monkeypatch.setattr(magnus_mod, "_flip_parity", lambda bases, psi0: None)
         engine = _StepEngine(five_spin, circular, None)
+        assert engine.dim == 32
         starts, widths = _step_grid(16, ())
         batch = engine.generators(engine.weights(starts, widths, 3.0))
         for k in (0, 7, 15):
@@ -261,6 +266,24 @@ class TestStepPolynomial:
             )
             direct = qa.omega_total(qa.omega_explicit4(poly, 4))
             assert np.abs(direct - batch[k]).max() <= 1e-12
+
+    @pytest.mark.parametrize("sign, parity", [(1, -1), (-1, 1)])
+    def test_sector_engine_matches_explicit_path(self, five_spin, sign, parity):
+        # all-minus on five qubits is odd under the global flip, all-plus even
+        from annealsim.magnus import _StepEngine, _step_grid
+
+        sched = qa.builtin_schedule("circular", driver_sign=sign)
+        engine = _StepEngine(five_spin, sched, None)
+        assert (engine.parity, engine.dim) == (parity, 16)
+        iso = sector_isometry(5, parity)
+        starts, widths = _step_grid(16, ())
+        batch = engine.generators(engine.weights(starts, widths, 3.0))
+        for k in (0, 7, 15):
+            poly = qa.build_step_polynomial(
+                five_spin, sched, None, 3.0, starts[k] * 3.0, (starts[k] + widths[k]) * 3.0
+            )
+            direct = qa.omega_total(qa.omega_explicit4(poly, 4))
+            assert np.abs(iso.T @ direct @ iso - batch[k]).max() <= 1e-12
 
 
 class TestBatchedEngine:
@@ -336,7 +359,9 @@ class TestMemoryPreflight:
         )
         engine = _StepEngine(model, circular, offsets, order)
         nb = engine.bases.count
-        cache_bytes, _ = _engine_bytes(3, nb, order, 1)
+        # the Z offsets keep the full space; the bare chain runs in its sector
+        assert engine.bases.n_bits == (3 if with_offsets else 2)
+        cache_bytes, _ = _engine_bytes(engine.bases.n_bits, nb, order, 1)
         assert engine.products.nbytes == cache_bytes
         # the bases lead the cache
         assert np.array_equal(engine.products[:nb], engine.bases.dense().reshape(nb, -1))
@@ -378,6 +403,19 @@ class TestMemoryPreflight:
         chain = {(i, i + 1): 1.0 for i in range(1, n_qubits)}
         with pytest.raises(qa.SizeError, match=f"{n_qubits} qubits at order 4 with 2 base"):
             qa.simulate_fixed(chain, 1.0, circular, n_steps=1)
+
+    def test_sector_run_is_sized_on_its_sector(self, circular, monkeypatch):
+        import annealsim.magnus as magnus_mod
+
+        # a 6-qubit chain at order 8: a 16.7 MB product cache on the full
+        # space, 4.2 MB on its flip sector of 5 bits
+        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 8 * 10**6)
+        chain = {(i, i + 1): 1.0 for i in range(1, 6)}
+        result = qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2)
+        assert result.metadata["flip_sector"] == 1
+        monkeypatch.setattr(magnus_mod, "_flip_parity", lambda bases, psi0: None)
+        with pytest.raises(qa.SizeError, match="6 qubits at order 8 with 2 base"):
+            qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2)
 
     def test_krylov_estimate_counts_basis_and_trie(self):
         from annealsim.magnus import _KRYLOV_MAX_DIM, _krylov_bytes

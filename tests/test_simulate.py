@@ -549,3 +549,61 @@ class TestKrylovPath:
         rho = result.rho
         assert rho is result.rho
         assert np.array_equal(rho, np.outer(result.state, result.state.conj()))
+
+
+def _no_sector(monkeypatch):
+    monkeypatch.setattr(magnus_mod, "_flip_parity", lambda bases, psi0: None)
+
+
+def _flip_free_model(rng, n_qubits):
+    """Couplings only, so the model commutes with the global spin flip."""
+    terms = {p: float(rng.normal()) for p in itertools.combinations(range(1, n_qubits + 1), 2)
+             if rng.random() < 0.6}
+    terms[(1, n_qubits)] = 1.0
+    return qa.IsingModel.from_terms(terms, n_qubits=n_qubits)
+
+
+class TestFlipSector:
+    @pytest.mark.parametrize("top_x_offset", [False, True])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("path", ["dense", "krylov"])
+    @pytest.mark.parametrize("n_qubits", range(2, 9))
+    def test_matches_full_space(self, monkeypatch, n_qubits, path, sign, top_x_offset):
+        # all-plus (sign -1) is even under the flip, all-minus has parity (-1)**n
+        model = _flip_free_model(np.random.default_rng(n_qubits), n_qubits)
+        offsets = (qa.FieldOffsets.from_vectors(x=[0.0] * (n_qubits - 1) + [0.4])
+                   if top_x_offset else None)
+        args = (model, 0.5, qa.builtin_schedule("dw_quadratic", driver_sign=sign))
+        kwargs = {"n_steps": 16, "offsets": offsets}
+        sector = _propagate(monkeypatch, path, *args, **kwargs)
+        _no_sector(monkeypatch)
+        full = _propagate(monkeypatch, path, *args, **kwargs)
+        assert sector.metadata["flip_sector"] == (1 if sign == -1 else (-1) ** n_qubits)
+        assert "flip_sector" not in full.metadata
+        assert qa.trace_distance(sector.rho, full.rho) <= 1e-13
+        # p[v] == p[~v], ~v flipping every bit
+        assert np.array_equal(sector.probabilities, sector.probabilities[::-1])
+
+    @pytest.mark.parametrize("path", ["dense", "krylov"])
+    @pytest.mark.parametrize("breaker", ["field", "z_offset"])
+    def test_field_or_z_offset_keeps_full_space(self, monkeypatch, breaker, path):
+        model = _flip_free_model(np.random.default_rng(4), 4)
+        offsets = None
+        if breaker == "field":
+            model = qa.IsingModel.from_terms({**model.terms, (3,): 1e-3}, n_qubits=4)
+        else:
+            offsets = qa.FieldOffsets.from_vectors(z=[0.0, 0.0, 1e-3, 0.0])
+        args = (model, 0.5, qa.builtin_schedule("circular"))
+        result = _propagate(monkeypatch, path, *args, n_steps=16, offsets=offsets)
+        assert "flip_sector" not in result.metadata
+        # the same code as with the detector off, so the same state bit for bit
+        _no_sector(monkeypatch)
+        full = _propagate(monkeypatch, path, *args, n_steps=16, offsets=offsets)
+        assert np.array_equal(result.state, full.state)
+
+    def test_adaptive_run_reports_its_sector(self, five_spin, circular):
+        result = qa.simulate(five_spin, 2.0, circular)
+        assert result.metadata["flip_sector"] == -1
+        assert result.state.shape == (32,)
+        glass = qa.simulate(dw_glass(0), 2.0, circular)
+        assert "flip_sector" not in glass.metadata
