@@ -68,16 +68,35 @@ def _load_schedule(spec: str, driver_sign: int) -> AnnealingSchedule:
     return builtin_schedule(spec, driver_sign=driver_sign)
 
 
-def _parse_offsets(args, n_qubits: int) -> FieldOffsets | None:
-    if not args.x_offsets and not args.z_offsets:
-        return None
+def _load_run(args) -> tuple[IsingModel, AnnealingSchedule, FieldOffsets | None, SolverConfig]:
+    """The model, schedule, offsets and solver configuration of a simulate or sweep run."""
+    model = _load_model(args.model)
+    schedule = _load_schedule(args.schedule, args.driver_sign)
 
     def parse(text):
         return [float(v) for v in text.split(",")] if text else None
 
-    return FieldOffsets.from_vectors(
-        x=parse(args.x_offsets), z=parse(args.z_offsets), n_qubits=n_qubits
-    )
+    offsets = None
+    if args.x_offsets or args.z_offsets:
+        offsets = FieldOffsets.from_vectors(
+            x=parse(args.x_offsets), z=parse(args.z_offsets), n_qubits=model.n_qubits
+        )
+    if args.steps == "adaptive":
+        config = SolverConfig(
+            order=args.order,
+            mean_tol=args.mean_tol,
+            max_tol=args.max_tol,
+            max_doublings=args.max_doublings,
+        )
+    else:
+        config = SolverConfig(order=args.order, n_steps=int(args.steps))
+    return model, schedule, offsets, config
+
+
+def _export(args, result, model, schedule) -> None:
+    if args.out:
+        export_result(result, args.format, args.out, model=model, schedule=schedule,
+                      include_timestamp=not args.no_timestamp)
 
 
 def _parse_times(text: str) -> list[float]:
@@ -92,17 +111,6 @@ def _parse_times(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _solver_config(args) -> SolverConfig:
-    if args.steps == "adaptive":
-        return SolverConfig(
-            order=args.order,
-            mean_tol=args.mean_tol,
-            max_tol=args.max_tol,
-            max_doublings=args.max_doublings,
-        )
-    return SolverConfig(order=args.order, n_steps=int(args.steps))
-
-
 def _print_summary(result: SimulationResult, n_qubits: int) -> None:
     top = sorted(
         enumerate(result.probabilities), key=lambda item: (-item[1], item[0])
@@ -113,24 +121,6 @@ def _print_summary(result: SimulationResult, n_qubits: int) -> None:
     print(f"steps_used={result.steps_used} order={result.order} top: {labels}")
 
 
-def _add_common_simulation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="BQPJSON path or inline 'i,j=c;i=c' spec")
-    parser.add_argument("--schedule", required=True, help="built-in name or schedule CSV path")
-    parser.add_argument("--order", type=int, default=4, help="Magnus order (default 4)")
-    parser.add_argument(
-        "--steps", default="adaptive", help="fixed step count or 'adaptive' (default)"
-    )
-    parser.add_argument("--mean-tol", type=float, default=1e-8)
-    parser.add_argument("--max-tol", type=float, default=1e-6)
-    parser.add_argument("--max-doublings", type=int, default=24)
-    parser.add_argument("--driver-sign", type=int, choices=(1, -1), default=1)
-    parser.add_argument("--x-offsets", default="", help="comma list of per-qubit X offsets")
-    parser.add_argument("--z-offsets", default="", help="comma list of per-qubit Z offsets")
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--no-timestamp", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annealsim",
@@ -138,25 +128,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="single evolution")
-    _add_common_simulation_flags(p_sim)
+    # flags of every command that reads a problem and writes an export
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--model", required=True, help="BQPJSON path or inline 'i,j=c;i=c' spec")
+    problem.add_argument("--schedule", required=True, help="built-in name or schedule CSV path")
+    problem.add_argument("--driver-sign", type=int, choices=(1, -1), default=1)
+    problem.add_argument("--no-timestamp", action="store_true")
+
+    run = argparse.ArgumentParser(add_help=False, parents=[problem])
+    run.add_argument("--order", type=int, default=4, help="Magnus order (default 4)")
+    run.add_argument(
+        "--steps", default="adaptive", help="fixed step count or 'adaptive' (default)"
+    )
+    run.add_argument("--mean-tol", type=float, default=1e-8)
+    run.add_argument("--max-tol", type=float, default=1e-6)
+    run.add_argument("--max-doublings", type=int, default=24)
+    run.add_argument("--x-offsets", default="", help="comma list of per-qubit X offsets")
+    run.add_argument("--z-offsets", default="", help="comma list of per-qubit Z offsets")
+    run.add_argument("--out", default=None, help="output file path")
+    run.add_argument("--format", choices=("json", "csv"), default="json")
+
+    p_sim = sub.add_parser("simulate", parents=[run], help="single evolution")
     p_sim.add_argument("--time", type=float, required=True, help="total evolution time")
 
-    p_sweep = sub.add_parser("sweep", help="evolution-time sweep")
-    _add_common_simulation_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[run], help="evolution-time sweep")
     p_sweep.add_argument(
         "--times", required=True, help="comma list or logspace:lo:hi:count (base-10 exponents)"
     )
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
 
-    p_spec = sub.add_parser("spectrum", help="instantaneous eigenvalues on an s grid")
-    p_spec.add_argument("--model", required=True)
-    p_spec.add_argument("--schedule", required=True)
+    p_spec = sub.add_parser(
+        "spectrum", parents=[problem], help="instantaneous eigenvalues on an s grid"
+    )
     p_spec.add_argument("--grid", type=int, default=101, help="number of s points")
-    p_spec.add_argument("--driver-sign", type=int, choices=(1, -1), default=1)
     p_spec.add_argument("--out", required=True)
     p_spec.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_spec.add_argument("--no-timestamp", action="store_true")
 
     p_conv = sub.add_parser("convert", help="convert basis-state labels")
     p_conv.add_argument("--from", dest="source", required=True, choices=("int", "binary", "spin"))
@@ -172,29 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    model = _load_model(args.model)
-    schedule = _load_schedule(args.schedule, args.driver_sign)
-    offsets = _parse_offsets(args, model.n_qubits)
-    config = _solver_config(args)
+    model, schedule, offsets, config = _load_run(args)
     result = run_config(model, args.time, schedule, config, offsets)
-    if args.out:
-        export_result(
-            result,
-            args.format,
-            args.out,
-            model=model,
-            schedule=schedule,
-            include_timestamp=not args.no_timestamp,
-        )
+    _export(args, result, model, schedule)
     _print_summary(result, model.n_qubits)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    model = _load_model(args.model)
-    schedule = _load_schedule(args.schedule, args.driver_sign)
-    offsets = _parse_offsets(args, model.n_qubits)
-    config = _solver_config(args)
+    model, schedule, offsets, config = _load_run(args)
     points = simulate_sweep(model, _parse_times(args.times), schedule, config, offsets,
                             jobs=args.jobs)
     points.sort(key=lambda p: p.tau)
@@ -202,15 +194,7 @@ def _cmd_sweep(args) -> int:
     failures = [p for p in points if p.result is None]
     for point in failures:
         print(f"warning: tau={point.tau}: {point.error}", file=sys.stderr)
-    if args.out:
-        export_result(
-            points,
-            args.format,
-            args.out,
-            model=model,
-            schedule=schedule,
-            include_timestamp=not args.no_timestamp,
-        )
+    _export(args, points, model, schedule)
     print(f"sweep: {len(points) - len(failures)}/{len(points)} evolutions succeeded")
     return 1 if len(failures) == len(points) else 0
 
@@ -222,13 +206,7 @@ def _cmd_spectrum(args) -> int:
         raise ValueError("--grid must be >= 2")
     grid = np.linspace(0.0, 1.0, args.grid)
     spectrum = eigenspectrum(model, schedule, grid)
-    export_result(
-        spectrum,
-        args.format,
-        args.out,
-        schedule=schedule,
-        include_timestamp=not args.no_timestamp,
-    )
+    _export(args, spectrum, model, schedule)
     if args.format == "csv":
         schedule_path = _schedule_sidecar_path(args.out)
         save_schedule_csv(schedule, schedule_path, s_grid=grid)

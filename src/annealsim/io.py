@@ -59,8 +59,12 @@ def read_bqpjson(path) -> tuple[IsingModel, dict[int, int]]:
     if domain not in ("spin", "boolean"):
         raise BqpjsonError(f"{path}: variable_domain must be 'spin' or 'boolean', got {domain!r}")
     ids = data.get("variable_ids")
-    if not isinstance(ids, list) or not all(isinstance(i, int) for i in ids):
+    # json gives bool for true/false, and bool is a subclass of int
+    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
         raise BqpjsonError(f"{path}: variable_ids must be a list of integers")
+    for key in ("linear_terms", "quadratic_terms"):
+        if not isinstance(data.get(key, []), list):
+            raise BqpjsonError(f"{path}: {key} must be a list")
     if len(set(ids)) != len(ids):
         raise BqpjsonError(f"{path}: variable_ids contains duplicates")
     if not ids:
@@ -129,6 +133,21 @@ def read_bqpjson(path) -> tuple[IsingModel, dict[int, int]]:
     return model, mapping
 
 
+def _write_json(path, payload: dict, include_timestamp: bool) -> None:
+    if include_timestamp:
+        payload["created"] = datetime.now(timezone.utc).isoformat()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_bqpjson(model, path) -> None:
     """Write a spin-domain problem file that reads back to the same model."""
     model = IsingModel.from_terms(model)
@@ -149,27 +168,11 @@ def write_bqpjson(model, path) -> None:
         ],
         "metadata": {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload, include_timestamp=False)
 
 
 # ---------------------------------------------------------------------------
 # result export
-
-
-def _state_records(result: SimulationResult, model: IsingModel) -> list[dict]:
-    energies = ising_diagonal(model)
-    n = model.n_qubits
-    return [
-        {
-            "index": v,
-            "braket": int_to_braket(v, n),
-            "energy": float(energies[v]),
-            "probability": float(p),
-        }
-        for v, p in enumerate(result.probabilities)
-    ]
 
 
 def _schedule_name(schedule) -> str:
@@ -234,23 +237,19 @@ def _export_sweep(points, format, path, model, schedule, include_timestamp, kind
     if model is None:
         raise ValueError("model is required to export simulation results")
     model = IsingModel.from_terms(model)
+    # (index, bra-ket label, energy) of every basis state, shared by all points
+    states = [
+        (v, int_to_braket(v, model.n_qubits), float(e))
+        for v, e in enumerate(ising_diagonal(model))
+    ]
     if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "state_index", "braket", "energy", "probability"])
-            for point in points:
-                if point.result is None:
-                    continue
-                for rec in _state_records(point.result, model):
-                    writer.writerow(
-                        [
-                            repr(point.tau),
-                            rec["index"],
-                            rec["braket"],
-                            repr(rec["energy"]),
-                            repr(rec["probability"]),
-                        ]
-                    )
+        rows = (
+            [repr(point.tau), v, label, repr(energy), repr(float(p))]
+            for point in points
+            if point.result is not None
+            for (v, label, energy), p in zip(states, point.result.probabilities, strict=True)
+        )
+        _write_csv(path, ["tau", "state_index", "braket", "energy", "probability"], rows)
         return
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -262,7 +261,12 @@ def _export_sweep(points, format, path, model, schedule, include_timestamp, kind
                 {
                     "tau": point.tau,
                     "solver": _solver_payload(point.result),
-                    "states": _state_records(point.result, model),
+                    "states": [
+                        {"index": v, "braket": label, "energy": energy, "probability": float(p)}
+                        for (v, label, energy), p in zip(
+                            states, point.result.probabilities, strict=True
+                        )
+                    ],
                 }
                 if point.result is not None
                 else {"tau": point.tau, "error": point.error}
@@ -270,21 +274,17 @@ def _export_sweep(points, format, path, model, schedule, include_timestamp, kind
             for point in points
         ],
     }
-    if include_timestamp:
-        payload["created"] = datetime.now(timezone.utc).isoformat()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    _write_json(path, payload, include_timestamp)
 
 
 def _export_spectrum(spectrum, format, path, schedule, include_timestamp):
     if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "level_index", "eigenvalue"])
-            for s, levels in zip(spectrum.s_grid, spectrum.levels):
-                for k, value in enumerate(levels):
-                    writer.writerow([repr(float(s)), k, repr(float(value))])
+        rows = (
+            [repr(float(s)), k, repr(float(value))]
+            for s, levels in zip(spectrum.s_grid, spectrum.levels)
+            for k, value in enumerate(levels)
+        )
+        _write_csv(path, ["s", "level_index", "eigenvalue"], rows)
         return
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -298,8 +298,4 @@ def _export_spectrum(spectrum, format, path, schedule, include_timestamp):
             "a": [float(schedule.A(float(s))) for s in spectrum.s_grid],
             "b": [float(schedule.B(float(s))) for s in spectrum.s_grid],
         }
-    if include_timestamp:
-        payload["created"] = datetime.now(timezone.utc).isoformat()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    _write_json(path, payload, include_timestamp)

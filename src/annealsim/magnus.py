@@ -36,7 +36,7 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product as _iterproduct
@@ -1047,15 +1047,9 @@ def simulate(
             e_mean = error_mean(previous.state, current.state)
             trace.append((current.steps_used, e_max, e_mean))
             if e_max <= config.max_tol and e_mean <= config.mean_tol:
-                return SimulationResult(
-                    state=current.state,
-                    probabilities=current.probabilities,
-                    steps_used=current.steps_used,
-                    order=order,
-                    convergence_trace=trace,
-                    metadata={**current.metadata, "mode": "adaptive",
-                              "mean_tol": mean_tol, "max_tol": max_tol},
-                )
+                return replace(current, convergence_trace=trace,
+                               metadata={**current.metadata, "mode": "adaptive",
+                                         "mean_tol": mean_tol, "max_tol": max_tol})
         previous = current
     steps = int(_segments(n, schedule.kinks)[1].sum()) << config.max_doublings
     last = f", E_max={trace[-1][1]:.3e}, E_mean={trace[-1][2]:.3e}" if trace else ""

@@ -177,17 +177,16 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
     if s[0] > 0.0 or s[-1] < 1.0:
         raise ScheduleError(f"{path}: s column must cover [0, 1], spans [{s[0]}, {s[-1]}]")
 
-    def interp_a(x, _s=s, _a=a):
-        out = np.interp(np.asarray(x, dtype=float), _s, _a)
-        return out if out.ndim else float(out)
+    def interpolant(values):
+        def envelope(x):
+            out = np.interp(np.asarray(x, dtype=float), s, values)
+            return out if out.ndim else float(out)
 
-    def interp_b(x, _s=s, _b=b):
-        out = np.interp(np.asarray(x, dtype=float), _s, _b)
-        return out if out.ndim else float(out)
+        return envelope
 
     return AnnealingSchedule(
-        A=interp_a,
-        B=interp_b,
+        A=interpolant(a),
+        B=interpolant(b),
         driver_sign=driver_sign,
         name=path.stem,
         kinks=tuple(float(x) for x in s[(s > 0.0) & (s < 1.0)]),

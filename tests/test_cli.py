@@ -102,6 +102,22 @@ class TestSimulate:
         assert code == 2
         assert "error[args]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        {"linear_terms": None},
+        {"quadratic_terms": 5},
+        {"variable_ids": [True, False], "quadratic_terms": []},
+    ], ids=["null-linear", "int-quadratic", "bool-ids"])
+    def test_malformed_problem_file_exits_2(self, tmp_path, capsys, override):
+        payload = {"version": "1.0.0", "variable_domain": "spin", "variable_ids": [1, 2],
+                   "linear_terms": [], "quadratic_terms": [
+                       {"id_tail": 1, "id_head": 2, "coeff": -1.0}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**payload, **override}), encoding="utf-8")
+        code = main(["simulate", "--model", str(path), "--time", "1", "--schedule", "linear"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[args]: ") and err.count("\n") == 1
+
     def test_nonconvergence_exits_1_with_trace(self, capsys):
         code = main(
             ["simulate", "--model", "1=1", "--time", "1", "--schedule", "circular",

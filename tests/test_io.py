@@ -80,6 +80,18 @@ class TestReadBqpjson:
         with pytest.raises(qa.BqpjsonError, match="variable_domain"):
             qa.read_bqpjson(write_json(tmp_path, spin_problem(variable_domain="qubo")))
 
+    @pytest.mark.parametrize("key", ["linear_terms", "quadratic_terms"])
+    @pytest.mark.parametrize("value", [None, 5, {"id": 0, "coeff": 1.0}],
+                             ids=["null", "int", "object"])
+    def test_non_list_terms_rejected(self, tmp_path, key, value):
+        with pytest.raises(qa.BqpjsonError, match=f"{key} must be a list"):
+            qa.read_bqpjson(write_json(tmp_path, spin_problem(**{key: value})))
+
+    def test_boolean_variable_ids_rejected(self, tmp_path):
+        payload = spin_problem(variable_ids=[True, False], linear_terms=[], quadratic_terms=[])
+        with pytest.raises(qa.BqpjsonError, match="variable_ids"):
+            qa.read_bqpjson(write_json(tmp_path, payload))
+
     def test_solutions_section_warns(self, tmp_path):
         path = write_json(tmp_path, spin_problem(solutions=[{"assignment": []}]))
         with pytest.warns(UserWarning, match="solutions"):
@@ -244,7 +256,290 @@ class TestExportResult:
         with pytest.raises(ValueError):
             qa.export_result(result, "yaml", tmp_path / "x", model=model)
 
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_result_of_another_size_rejected(self, tmp_path, circular, format):
+        result = qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, order=4, n_steps=8)
+        with pytest.raises(ValueError):
+            qa.export_result(result, format, tmp_path / "x", model=qa.single_field_model())
+
     def test_simulation_export_requires_model(self, tmp_path, circular):
         result = qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, order=4, n_steps=8)
         with pytest.raises(ValueError, match="model"):
             qa.export_result(result, "json", tmp_path / "x.json")
+
+
+def crlf(*lines):
+    return "".join(line + "\r\n" for line in lines)
+
+
+class TestExportBytes:
+    """Exact text of every file format, from hand-built results (no BLAS rounding)."""
+
+    PAIR = qa.IsingModel.from_terms({(1,): 0.5, (1, 2): -1.0})
+    SINGLE = qa.IsingModel.from_terms({(1,): 1.0})
+
+    @staticmethod
+    def result(probabilities, steps, trace, metadata):
+        p = np.array(probabilities)
+        return qa.SimulationResult(state=np.sqrt(p).astype(complex), probabilities=p,
+                                   steps_used=steps, order=4, convergence_trace=trace,
+                                   metadata=metadata)
+
+    def simulation(self):
+        return self.result([0.125, 0.375, 0.25, 0.25], 8, [(8, 0.001, 0.00025)],
+                           {"tau": 2.0, "mode": "adaptive"})
+
+    def sweep(self):
+        return [
+            qa.SweepPoint(tau=0.5, result=self.result([0.75, 0.25], 4, [], {"mode": "fixed"})),
+            qa.SweepPoint(tau=1.0, error="ConvergenceError: did not converge"),
+            qa.SweepPoint(tau=3.0, result=self.result([0.1, 0.9], 16, [(16, 0.5, 0.125)],
+                                                      {"mode": "adaptive"})),
+        ]
+
+    @staticmethod
+    def spectrum():
+        return qa.SpectrumResult(s_grid=np.array([0.0, 0.5, 1.0]),
+                                 levels=np.array([[-2.0, 2.0], [-1.25, 0.75], [-0.5, 0.5]]))
+
+    def test_simulation_json(self, tmp_path, linear):
+        path = tmp_path / "run.json"
+        qa.export_result(self.simulation(), "json", path, model=self.PAIR, schedule=linear,
+                         include_timestamp=False)
+        states = ",\n".join(
+            f'''        {{
+          "braket": "{label}",
+          "energy": {energy},
+          "index": {index},
+          "probability": {p}
+        }}'''
+            for index, (label, energy, p) in enumerate(
+                [("|↑↑⟩", -0.5, 0.125), ("|↑↓⟩", 0.5, 0.375),
+                 ("|↓↑⟩", 1.5, 0.25), ("|↓↓⟩", -1.5, 0.25)]
+            )
+        )
+        assert path.read_bytes() == f'''{{
+  "kind": "simulation",
+  "model": {{
+    "n_qubits": 2,
+    "terms": {{
+      "1": 0.5,
+      "1,2": -1.0
+    }}
+  }},
+  "points": [
+    {{
+      "solver": {{
+        "convergence_trace": [
+          {{
+            "error_max": 0.001,
+            "error_mean": 0.00025,
+            "n_steps": 8
+          }}
+        ],
+        "mode": "adaptive",
+        "order": 4,
+        "steps_used": 8
+      }},
+      "states": [
+{states}
+      ],
+      "tau": 2.0
+    }}
+  ],
+  "schedule": "linear",
+  "schema_version": 1
+}}
+'''.encode()
+
+    def test_simulation_csv(self, tmp_path, linear):
+        path = tmp_path / "run.csv"
+        qa.export_result(self.simulation(), "csv", path, model=self.PAIR, schedule=linear)
+        assert path.read_bytes() == crlf(
+            "tau,state_index,braket,energy,probability",
+            "2.0,0,|↑↑⟩,-0.5,0.125",
+            "2.0,1,|↑↓⟩,0.5,0.375",
+            "2.0,2,|↓↑⟩,1.5,0.25",
+            "2.0,3,|↓↓⟩,-1.5,0.25",
+        ).encode()
+
+    def test_sweep_json(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        qa.export_result(self.sweep(), "json", path, model=self.SINGLE, schedule="custom",
+                         include_timestamp=False)
+        assert path.read_bytes() == '''{
+  "kind": "sweep",
+  "model": {
+    "n_qubits": 1,
+    "terms": {
+      "1": 1.0
+    }
+  },
+  "points": [
+    {
+      "solver": {
+        "convergence_trace": [],
+        "mode": "fixed",
+        "order": 4,
+        "steps_used": 4
+      },
+      "states": [
+        {
+          "braket": "|↑⟩",
+          "energy": 1.0,
+          "index": 0,
+          "probability": 0.75
+        },
+        {
+          "braket": "|↓⟩",
+          "energy": -1.0,
+          "index": 1,
+          "probability": 0.25
+        }
+      ],
+      "tau": 0.5
+    },
+    {
+      "error": "ConvergenceError: did not converge",
+      "tau": 1.0
+    },
+    {
+      "solver": {
+        "convergence_trace": [
+          {
+            "error_max": 0.5,
+            "error_mean": 0.125,
+            "n_steps": 16
+          }
+        ],
+        "mode": "adaptive",
+        "order": 4,
+        "steps_used": 16
+      },
+      "states": [
+        {
+          "braket": "|↑⟩",
+          "energy": 1.0,
+          "index": 0,
+          "probability": 0.1
+        },
+        {
+          "braket": "|↓⟩",
+          "energy": -1.0,
+          "index": 1,
+          "probability": 0.9
+        }
+      ],
+      "tau": 3.0
+    }
+  ],
+  "schedule": "custom",
+  "schema_version": 1
+}
+'''.encode()
+
+    def test_sweep_csv(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        qa.export_result(self.sweep(), "csv", path, model=self.SINGLE)
+        assert path.read_bytes() == crlf(
+            "tau,state_index,braket,energy,probability",
+            "0.5,0,|↑⟩,1.0,0.75",
+            "0.5,1,|↓⟩,-1.0,0.25",
+            "3.0,0,|↑⟩,1.0,0.1",
+            "3.0,1,|↓⟩,-1.0,0.9",
+        ).encode()
+
+    def test_spectrum_json(self, tmp_path, linear):
+        path = tmp_path / "spectrum.json"
+        qa.export_result(self.spectrum(), "json", path, schedule=linear, include_timestamp=False)
+
+        def column(*values):
+            return ",\n".join(f"      {v}" for v in values)
+
+        assert path.read_bytes() == f'''{{
+  "kind": "spectrum",
+  "levels": [
+    [
+{column(-2.0, 2.0)}
+    ],
+    [
+{column(-1.25, 0.75)}
+    ],
+    [
+{column(-0.5, 0.5)}
+    ]
+  ],
+  "s": [
+    0.0,
+    0.5,
+    1.0
+  ],
+  "schedule": "linear",
+  "schedule_values": {{
+    "a": [
+{column(1.0, 0.5, 0.0)}
+    ],
+    "b": [
+{column(0.0, 0.5, 1.0)}
+    ]
+  }},
+  "schema_version": 1
+}}
+'''.encode()
+
+    def test_spectrum_csv(self, tmp_path, linear):
+        path = tmp_path / "spectrum.csv"
+        qa.export_result(self.spectrum(), "csv", path, schedule=linear)
+        assert path.read_bytes() == crlf(
+            "s,level_index,eigenvalue",
+            "0.0,0,-2.0",
+            "0.0,1,2.0",
+            "0.5,0,-1.25",
+            "0.5,1,0.75",
+            "1.0,0,-0.5",
+            "1.0,1,0.5",
+        ).encode()
+
+    def test_timestamp_is_the_only_addition(self, tmp_path, linear):
+        plain, stamped = tmp_path / "plain.json", tmp_path / "stamped.json"
+        qa.export_result(self.spectrum(), "json", plain, schedule=linear, include_timestamp=False)
+        qa.export_result(self.spectrum(), "json", stamped, schedule=linear)
+        payload = json.loads(stamped.read_text(encoding="utf-8"))
+        created = payload.pop("created")
+        assert created.endswith("+00:00")
+        assert payload == json.loads(plain.read_text(encoding="utf-8"))
+
+    def test_write_bqpjson(self, tmp_path):
+        path = tmp_path / "pair.json"
+        qa.write_bqpjson(self.PAIR, path)
+        assert path.read_bytes() == b'''{
+  "id": 0,
+  "linear_terms": [
+    {
+      "coeff": 0.5,
+      "id": 1
+    }
+  ],
+  "metadata": {},
+  "quadratic_terms": [
+    {
+      "coeff": -1.0,
+      "id_head": 2,
+      "id_tail": 1
+    }
+  ],
+  "variable_domain": "spin",
+  "variable_ids": [
+    1,
+    2
+  ],
+  "version": "1.0.0"
+}
+'''
+
+    def test_save_schedule_csv(self, tmp_path, linear):
+        path = tmp_path / "linear.csv"
+        qa.save_schedule_csv(linear, path, s_grid=[0.0, 0.25, 1.0])
+        assert path.read_bytes() == crlf(
+            "s,a,b", "0.0,1.0,0.0", "0.25,0.75,0.25", "1.0,0.0,1.0"
+        ).encode()
