@@ -237,6 +237,12 @@ def _export_sweep(points, format, path, model, schedule, include_timestamp, kind
     if model is None:
         raise ValueError("model is required to export simulation results")
     model = IsingModel.from_terms(model)
+    # checked before the file is opened, so a failed export leaves none behind
+    size = 1 << model.n_qubits
+    for point in points:
+        if point.result is not None and point.result.probabilities.size != size:
+            raise ValueError(f"a result has {point.result.probabilities.size} probabilities, "
+                             f"but the {model.n_qubits}-qubit model has {size} states")
     # (index, bra-ket label, energy) of every basis state, shared by all points
     states = [
         (v, int_to_braket(v, model.n_qubits), float(e))
@@ -247,7 +253,7 @@ def _export_sweep(points, format, path, model, schedule, include_timestamp, kind
             [repr(point.tau), v, label, repr(energy), repr(float(p))]
             for point in points
             if point.result is not None
-            for (v, label, energy), p in zip(states, point.result.probabilities, strict=True)
+            for (v, label, energy), p in zip(states, point.result.probabilities)
         )
         _write_csv(path, ["tau", "state_index", "braket", "energy", "probability"], rows)
         return
@@ -263,9 +269,7 @@ def _export_sweep(points, format, path, model, schedule, include_timestamp, kind
                     "solver": _solver_payload(point.result),
                     "states": [
                         {"index": v, "braket": label, "energy": energy, "probability": float(p)}
-                        for (v, label, energy), p in zip(
-                            states, point.result.probabilities, strict=True
-                        )
+                        for (v, label, energy), p in zip(states, point.result.probabilities)
                     ],
                 }
                 if point.result is not None

@@ -26,8 +26,9 @@ Below seven qubits each step applies ``exp(Omega) = V exp(-i Lambda) V*``
 from the eigendecomposition of the Hermitian matrix ``i * Omega``, built from
 the dense bases; from seven qubits on ``exp(Omega) psi`` is computed by
 Lanczos from the bases applied to vectors, without any ``dim x dim`` matrix.
-Either way every step is unitary to roundoff, so the state stays physical
-even at grossly insufficient step counts.
+Dense steps are unitary to roundoff, so the state stays physical even at
+grossly insufficient step counts; the Krylov path refuses a step too wide for
+Lanczos to resolve, and :func:`simulate` skips that level.
 """
 
 from __future__ import annotations
@@ -546,13 +547,10 @@ _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 _KRYLOV_MIN_QUBITS = 7
 # Lanczos stops once its a-posteriori error estimate, relative to the norm of
 # the state, is below _KRYLOV_TOL.  A step that needs more than
-# _KRYLOV_MAX_DIM vectors is split into sub-steps of spectral half-width
-# _KRYLOV_RADIUS at most; one wider than _KRYLOV_MAX_RADIUS is refused, since
-# its cost grows with the width while its result is far from converged.
+# _KRYLOV_MAX_DIM vectors has a spectrum too wide for the truncated series to
+# be accurate on it, so it is refused; step doubling resolves it instead.
 _KRYLOV_TOL = 1e-15
 _KRYLOV_MAX_DIM = 64
-_KRYLOV_RADIUS = 32.0
-_KRYLOV_MAX_RADIUS = 250.0
 
 
 class _WideStepError(NumericalError):
@@ -823,7 +821,6 @@ class _KrylovEngine(_Engine):
         self._basis = np.empty((_KRYLOV_MAX_DIM + 1, self.dim), dtype=complex)
         self._w = np.empty(self.dim, dtype=complex)
         self.max_krylov_dim = 0
-        self.splits = 0
 
     def memory_bytes(self, steps: int) -> int:
         return _krylov_bytes(self.bases.n_bits, self.bases.count, self.order)
@@ -846,8 +843,8 @@ class _KrylovEngine(_Engine):
             start += rows
         return out
 
-    def _expm(self, h_weights: np.ndarray, psi: np.ndarray, scale: float) -> np.ndarray:
-        """exp(-i scale H) psi for the Hermitian H = i Omega of word weights ``h_weights``."""
+    def _expm(self, h_weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """exp(-i H) psi for the Hermitian H = i Omega of word weights ``h_weights``."""
         basis, w = self._basis, self._w
         cap = _KRYLOV_MAX_DIM
         alpha = np.zeros(cap)
@@ -870,44 +867,26 @@ class _KrylovEngine(_Engine):
                 beta[j] = np.linalg.norm(w)
             tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
             theta, vecs = np.linalg.eigh(tri)
-            y = vecs @ (np.exp(-1j * scale * theta) * vecs[0])
+            y = vecs @ (np.exp(-1j * theta) * vecs[0])
             # the residual of the Krylov approximation (Saad 1992); a basis
             # that spans the whole space makes the result exact
             if beta[j] * abs(y[j]) <= _KRYLOV_TOL or j + 1 == self.dim:
                 self.max_krylov_dim = max(self.max_krylov_dim, j + 1)
                 return beta0 * (y @ basis[: j + 1])
             np.divide(w, beta[j], out=basis[j + 1])
-        # Past the cap: split the step exactly, exp(-i s H) = exp(-i s H / m)^m,
-        # into sub-steps of spectral half-width _KRYLOV_RADIUS at most.
-        radius = 0.5 * scale * (theta[-1] - theta[0])
-        if radius > _KRYLOV_MAX_RADIUS:
-            raise _WideStepError(
-                f"a step generator has spectral half-width {radius:.3g}, more than the "
-                f"{_KRYLOV_MAX_RADIUS:g} the Krylov path propagates; use more steps"
-            )
-        self.max_krylov_dim = cap
-        self.splits += 1
-        parts = max(2, math.ceil(radius / _KRYLOV_RADIUS))
-        sub = scale / parts
-        # the first sub-step starts from psi, whose Krylov space is built already
-        y = vecs @ (np.exp(-1j * sub * theta) * vecs[0])
-        if beta[-1] * abs(y[-1]) <= _KRYLOV_TOL:
-            psi = beta0 * (y @ basis[:cap])
-        else:
-            psi = self._expm(h_weights, psi, sub)
-        for _ in range(parts - 1):
-            psi = self._expm(h_weights, psi, sub)
-        return psi
+        raise _WideStepError(
+            f"a step generator needs more than {cap} Lanczos vectors (spectral "
+            f"half-width at least {0.5 * (theta[-1] - theta[0]):.3g}); use more steps"
+        )
 
     def advance(self, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """psi through each step, one Lanczos run at a time."""
         for h_weights in 1j * weights:
-            psi = self._expm(h_weights, psi, 1.0)
+            psi = self._expm(h_weights, psi)
         return psi
 
     def diagnostics(self) -> dict[str, Any]:
-        return {**super().diagnostics(), "krylov_max_dim": self.max_krylov_dim,
-                "krylov_splits": self.splits}
+        return {**super().diagnostics(), "krylov_max_dim": self.max_krylov_dim}
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +937,8 @@ def simulate_fixed(
     exactly ``n_steps`` uniform ones.  ``_level`` halves every step that
     many times; it is the doubling level of :func:`simulate`.  Below
     seven qubits the step unitaries are dense; from seven on each step acts
-    on the vector by Lanczos, and a step too wide for that (spectral
-    half-width of ``i Omega`` above 250) raises :class:`NumericalError`.
+    on the vector by Lanczos, and a step that needs more than 64 Lanczos
+    vectors raises :class:`NumericalError`.
 
     A model of two qubits or more with no fields and no nonzero Z offset
     commutes with the global spin flip ``prod_k X_k``, and both start states

@@ -259,8 +259,11 @@ class TestExportResult:
     @pytest.mark.parametrize("format", ["json", "csv"])
     def test_result_of_another_size_rejected(self, tmp_path, circular, format):
         result = qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, order=4, n_steps=8)
-        with pytest.raises(ValueError):
-            qa.export_result(result, format, tmp_path / "x", model=qa.single_field_model())
+        path = tmp_path / f"x.{format}"
+        with pytest.raises(ValueError, match=r"4 probabilities.*1-qubit model has 2 states"):
+            qa.export_result(result, format, path, model=qa.single_field_model())
+        # neither format leaves a partial file behind
+        assert not path.exists()
 
     def test_simulation_export_requires_model(self, tmp_path, circular):
         result = qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, order=4, n_steps=8)

@@ -476,23 +476,29 @@ class TestKrylovPath:
         assert qa.trace_distance(dense.rho, krylov.rho) <= 1e-13
         assert np.abs(dense.probabilities - krylov.probabilities).max() <= 1e-13
 
-    def test_wide_step_is_split(self, monkeypatch, circular):
-        from annealsim.magnus import _StepEngine
+    def test_wide_step_is_refused(self, monkeypatch, circular):
+        from annealsim.magnus import _KrylovEngine, _StepEngine
 
         model = random_model(np.random.default_rng(7), 7)
         tau = 4.0
         engine = _StepEngine(model, circular, None)
         omega = engine.generators(engine.weights(np.array([0.0]), np.array([1.0]), tau))[0]
-        assert np.abs(np.linalg.eigvalsh(1j * omega)).max() >= 30
-        dense = _propagate(monkeypatch, "dense", model, tau, circular, n_steps=1)
-        krylov = _propagate(monkeypatch, "krylov", model, tau, circular, n_steps=1)
-        assert krylov.metadata["krylov_splits"] >= 1
-        assert krylov.metadata["krylov_max_dim"] == magnus_mod._KRYLOV_MAX_DIM
-        assert qa.trace_distance(dense.rho, krylov.rho) <= 1e-13
+        assert np.abs(np.linalg.eigvalsh(1j * omega)).max() >= 120
+        calls = []
+        apply_omega = _KrylovEngine.apply_omega
+
+        def counted(self, *args):
+            calls.append(None)
+            return apply_omega(self, *args)
+
+        monkeypatch.setattr(_KrylovEngine, "apply_omega", counted)
+        with pytest.raises(qa.NumericalError, match="use more steps"):
+            qa.simulate_fixed(model, tau, circular, n_steps=1)
+        # the refusal comes once the Lanczos basis is full, not after sub-steps
+        assert 0 < len(calls) <= magnus_mod._KRYLOV_MAX_DIM
 
     def test_too_wide_step_is_refused_and_skipped_by_doubling(self, monkeypatch, circular):
         model = random_model(np.random.default_rng(8), 7)
-        monkeypatch.setattr(magnus_mod, "_KRYLOV_MAX_RADIUS", 2.0)
         with pytest.raises(qa.NumericalError, match="use more steps"):
             qa.simulate_fixed(model, 10.0, circular, n_steps=1)
         result = qa.simulate(model, 10.0, circular, initial_steps=1)
