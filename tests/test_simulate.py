@@ -494,7 +494,7 @@ class TestKrylovPath:
         monkeypatch.setattr(_KrylovEngine, "apply_omega", counted)
         with pytest.raises(qa.NumericalError, match="use more steps"):
             qa.simulate_fixed(model, tau, circular, n_steps=1)
-        # the refusal comes once the Lanczos basis is full, not after sub-steps
+        # the refusal comes once the Lanczos basis is full
         assert 0 < len(calls) <= magnus_mod._KRYLOV_MAX_DIM
 
     def test_too_wide_step_is_refused_and_skipped_by_doubling(self, monkeypatch, circular):
