@@ -10,12 +10,14 @@ sum is ``H(s)``: the driver, the Ising diagonal and the optional field
 offsets, each as bit flips plus a diagonal, on the full space or on one
 sector of the global spin flip.  Every ``H(s)``, every step generator of
 :mod:`annealsim.magnus` and every matrix-free product of its Krylov path is
-formed from it.
+formed from it, and it decides the space a run propagates on, the start
+state there and the lift of the final state back to ``2**n`` amplitudes.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -221,11 +223,15 @@ class _BaseOperators:
     Where every diagonal reads the same backwards, so that no field and no Z
     offset breaks the symmetry, every base commutes with the global spin flip
     ``F = prod_k X_k``; :meth:`flip_sector` then describes the same bases on
-    one eigenspace of ``F``, on ``n_bits = n_qubits - 1`` bits.
+    one eigenspace of ``F``, on ``n_bits = n_qubits - 1`` bits, and
+    ``parity`` is its eigenvalue (None on the full space).
     """
 
     def __init__(self, n_qubits: int, driver_sign: int, diagonal: np.ndarray,
                  offsets: FieldOffsets | None):
+        self.n_qubits = n_qubits
+        self.driver_sign = driver_sign
+        self.parity: int | None = None
         self.n_bits = n_qubits
         self.dim = 1 << n_qubits
         self.terms: list[tuple[list[tuple[int, float]], np.ndarray | None]] = [
@@ -254,6 +260,7 @@ class _BaseOperators:
         """
         sector = copy.copy(self)
         top = 1 << (self.n_bits - 1)
+        sector.parity = parity
         sector.n_bits = self.n_bits - 1
         sector.dim = top
         sector.terms = [
@@ -262,6 +269,30 @@ class _BaseOperators:
             for flips, diagonal in self.terms
         ]
         return sector
+
+    def run_space(self) -> "_BaseOperators":
+        """The bases a run propagates on: the start state's sector where they
+        are flip-symmetric, else these.  All-plus has ``F = +1``, all-minus
+        ``F = (-1)**n``."""
+        if not self.flip_symmetric():
+            return self
+        return self.flip_sector(1 if self.driver_sign == -1 else (-1) ** self.n_qubits)
+
+    def start_state(self) -> np.ndarray:
+        """The driver's ground state on this space: all-minus (the product of
+        the spins) under driver sign +1, else all-plus.  Sector state ``r``
+        holds ``1 / sqrt(2)`` of ``|r>``, so it takes ``sqrt(2)`` times the
+        amplitude of ``|r>``."""
+        spins = (_spin_table(self.n_bits).prod(axis=1) if self.driver_sign == 1
+                 else np.ones(self.dim))
+        psi = spins.astype(complex) / math.sqrt(1 << self.n_qubits)
+        return psi if self.parity is None else math.sqrt(2.0) * psi
+
+    def lift(self, psi: np.ndarray) -> np.ndarray:
+        """A state on this space as its ``2**n_qubits`` amplitudes."""
+        if self.parity is None:
+            return psi
+        return np.concatenate([psi, self.parity * psi[::-1]]) / math.sqrt(2.0)
 
     def envelopes(self, schedule, s: np.ndarray) -> np.ndarray:
         """Weights ``(s.size, count)`` of the bases at every point of ``s``."""
@@ -353,8 +384,8 @@ def eigenspectrum(
     grid = np.asarray(s_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("s_grid must be a nonempty 1-D sequence")
-    if grid.min() < 0.0 or grid.max() > 1.0:
-        raise ValueError("s_grid values must lie in [0, 1]")
+    if not (np.isfinite(grid).all() and grid.min() >= 0.0 and grid.max() <= 1.0):
+        raise ValueError("s_grid values must be finite and lie in [0, 1]")
 
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
     operators = bases.dense()

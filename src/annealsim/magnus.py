@@ -21,11 +21,11 @@ Each step generator weighs the base operators of
 :class:`annealsim.hamiltonian._BaseOperators` by the fitted envelopes; a
 model without fields or Z offsets runs on their restriction to one sector of
 the global spin flip, of half the dimension.  One loop propagates the state
-vector step by step (:meth:`_Engine.propagate`).
-Below seven qubits each step applies ``exp(Omega) = V exp(-i Lambda) V*``
-from the eigendecomposition of the Hermitian matrix ``i * Omega``, built from
-the dense bases; from seven qubits on ``exp(Omega) psi`` is computed by
-Lanczos from the bases applied to vectors, without any ``dim x dim`` matrix.
+vector step by step (:meth:`_Engine.propagate`).  Below seven propagated
+bits each step applies ``exp(Omega) = V exp(-i Lambda) V*`` from the
+eigendecomposition of the Hermitian matrix ``i * Omega``, built from the
+dense bases; from seven bits on ``exp(Omega) psi`` is computed by Lanczos
+from the bases applied to vectors, without any ``dim x dim`` matrix.
 Dense steps are unitary to roundoff, so the state stays physical even at
 grossly insufficient step counts; the Krylov path refuses a step too wide for
 Lanczos to resolve, and :func:`simulate` skips that level.
@@ -54,14 +54,12 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, SizeError, SolverConfigError
 from .hamiltonian import (
     FieldOffsets,
-    IsingModel,
     _BaseOperators,
     _combine,
     _prepare,
-    _spin_table,
     ising_diagonal,
 )
-from .schedule import AnnealingSchedule, ALL_MINUS, _unit_quadratic
+from .schedule import AnnealingSchedule, _unit_quadratic
 
 MAX_ORDER = 8
 
@@ -481,6 +479,10 @@ class SolverConfig:
     max_doublings: int = 24
 
     def __post_init__(self):
+        for name in ("order", "n_steps", "initial_steps", "max_doublings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+                raise SolverConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.order <= MAX_ORDER:
             raise SolverConfigError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
         if self.n_steps is not None and self.n_steps < 1:
@@ -540,11 +542,11 @@ _PHYSICAL_MEMORY = (
 # the memory limit of the process's cgroup (v2), where there is one
 _CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
-# From this many qubits on, steps act on the state vector by Lanczos; below it
-# the dense engine is faster.  Resolved order-4 steps on one core, ms/step
-# dense against Krylov: 0.29 / 1.7 at 5 qubits, 1.2 / 2.2 at 6, 4.7 / 2.4 at
-# 7, 28 / 3.1 at 8.
-_KRYLOV_MIN_QUBITS = 7
+# From this many propagated bits on (qubits, or qubits - 1 in a flip sector),
+# steps act on the state vector by Lanczos; below it the dense engine is
+# faster.  Adaptive order-4 runs on one core, dense against Krylov: 4-10x
+# faster on 6 bits, even on 7 (0.81 / 0.79 s), 4x slower on 8 (4.65 / 1.13 s).
+_KRYLOV_MIN_BITS = 7
 # Lanczos stops once its a-posteriori error estimate, relative to the norm of
 # the state, is below _KRYLOV_TOL.  A step that needs more than
 # _KRYLOV_MAX_DIM vectors has a spectrum too wide for the truncated series to
@@ -614,12 +616,6 @@ def _step_grid(n_steps: int, kinks: Sequence[float], level: int = 0) -> tuple[np
     return starts, np.diff(np.append(starts, 1.0))
 
 
-def _initial_state(n_qubits: int, kind: str) -> np.ndarray:
-    # all |-> has amplitude (-1)**(number of set bits), the product of the spins
-    amps = _spin_table(n_qubits).prod(axis=1) if kind == ALL_MINUS else np.ones(1 << n_qubits)
-    return amps.astype(complex) / math.sqrt(1 << n_qubits)
-
-
 def _fit_steps(bases: _BaseOperators, schedule: AnnealingSchedule, starts: np.ndarray,
                widths: np.ndarray, tau: float) -> np.ndarray:
     """Per-step coefficients c[m, degree, base] of the step generators."""
@@ -627,18 +623,6 @@ def _fit_steps(bases: _BaseOperators, schedule: AnnealingSchedule, starts: np.nd
     values = bases.envelopes(schedule, nodes).reshape(3, starts.size, bases.count)
     scale = ((-1j * tau) * widths)[:, None]
     return np.stack([scale * coeff for coeff in _unit_quadratic(*values)], axis=1)
-
-
-def _flip_parity(bases: _BaseOperators, psi0: np.ndarray) -> int | None:
-    """The eigenvalue of the global spin flip ``F`` on ``psi0`` where the
-    bases commute with ``F``, so that the run stays in that sector; else None.
-
-    Both start states are eigenstates of ``F``: all-plus of eigenvalue +1,
-    all-minus of ``(-1)**n``.
-    """
-    if not bases.flip_symmetric():
-        return None
-    return 1 if psi0[-1] == psi0[0] else -1
 
 
 def _word_count(n_bases: int, order: int) -> int:
@@ -688,7 +672,7 @@ def _word_weights(c: np.ndarray, order: int) -> np.ndarray:
 
 
 class _Engine:
-    """The propagation loop of both step engines, with fits and start state.
+    """The propagation loop of both step engines, with the step fits.
 
     The step generator is a linear combination of a handful of fixed base
     operators (driver, Ising diagonal, optional offsets) with per-step
@@ -696,31 +680,20 @@ class _Engine:
     of base operators (:func:`_word_weights`).  An engine supplies how a
     chunk of those weights advances the state, and its memory estimate.
 
-    A flip-symmetric model that starts in an eigenstate of the global spin
-    flip never leaves that sector (:func:`_flip_parity`), so the engine
-    propagates on the sector's bases (:meth:`_BaseOperators.flip_sector`),
-    of half the dimension, and lifts the final state back to the full space.
+    ``bases`` is the run's space (:meth:`_BaseOperators.run_space`); it gives
+    the start state and lifts the final state to the full space.
     """
 
     propagator = ""
     step_elements = 0
 
-    def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None, order: int, steps: int = 1):
+    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule,
+                 order: int, steps: int = 1):
+        self.bases = bases
         self.schedule = schedule
         self.order = order
-        bases = _BaseOperators(model.n_qubits, schedule.driver_sign,
-                               ising_diagonal(model), offsets)
-        psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
-        self.parity = _flip_parity(bases, psi0)
-        if self.parity is not None:
-            bases = bases.flip_sector(self.parity)
-            # the sector's basis vectors carry 1/sqrt(2) on each of r and ~r
-            psi0 = math.sqrt(2.0) * psi0[: bases.dim]
-        self.bases = bases
         self.dim = bases.dim
-        _preflight(self.memory_bytes(steps), model.n_qubits, bases.count, order)
-        self.psi0 = psi0
+        _preflight(self.memory_bytes(steps), bases.n_qubits, bases.count, order)
 
     def weights(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
         """Word weights (steps, words) of the generators of a batch of steps."""
@@ -728,9 +701,9 @@ class _Engine:
         return _word_weights(c, self.order)
 
     def propagate(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
-        """Final state on the full space: psi0 advanced through every step,
-        a chunk at a time."""
-        psi = self.psi0
+        """Final state on the full space: the start state advanced through
+        every step, a chunk at a time."""
+        psi = self.bases.start_state()
         chunk = _chunk_steps(self.step_elements, self.order)
         for lo in range(0, starts.size, chunk):
             weights = self.weights(starts[lo : lo + chunk], widths[lo : lo + chunk], tau)
@@ -739,14 +712,12 @@ class _Engine:
                 bad = lo + int(np.argmin(finite))
                 raise NumericalError(f"non-finite step generator at step index {bad}")
             psi = self.advance(weights, psi)
-        if self.parity is not None:
-            psi = np.concatenate([psi, self.parity * psi[::-1]]) / math.sqrt(2.0)
-        return psi
+        return self.bases.lift(psi)
 
     def diagnostics(self) -> dict[str, Any]:
         out: dict[str, Any] = {"propagator": self.propagator}
-        if self.parity is not None:
-            out["flip_sector"] = self.parity
+        if self.bases.parity is not None:
+            out["flip_sector"] = self.bases.parity
         return out
 
 
@@ -756,15 +727,15 @@ class _StepEngine(_Engine):
     Products of up to ``order`` base operators are cached, which turns a
     whole chunk of steps into one matrix product plus one batched
     eigendecomposition; each step then acts on the state vector, and no
-    product of step unitaries is formed.  Used below ``_KRYLOV_MIN_QUBITS``
-    and as the reference for the Krylov path.
+    product of step unitaries is formed.  Used below ``_KRYLOV_MIN_BITS``
+    propagated bits and as the reference for the Krylov path.
     """
 
     propagator = "dense"
 
-    def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None, order: int = 4, steps: int = 1):
-        super().__init__(model, schedule, offsets, order, steps)
+    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule,
+                 order: int = 4, steps: int = 1):
+        super().__init__(bases, schedule, order, steps)
         nb, dim = self.bases.count, self.dim
         self.step_elements = dim * dim
         # all base-word products of length 1..order, grouped by length; the
@@ -811,9 +782,9 @@ class _KrylovEngine(_Engine):
 
     propagator = "krylov"
 
-    def __init__(self, model: IsingModel, schedule: AnnealingSchedule,
-                 offsets: FieldOffsets | None, order: int = 4, steps: int = 1):
-        super().__init__(model, schedule, offsets, order, steps)
+    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule,
+                 order: int = 4, steps: int = 1):
+        super().__init__(bases, schedule, order, steps)
         nb = self.bases.count
         # trie level j lives in buffer (order - j) % 2, so the widest is level order
         self._levels = (np.empty((nb**order, self.dim), dtype=complex),
@@ -935,18 +906,18 @@ def simulate_fixed(
     uniform steps of its own, so no step straddles a kink and
     ``steps_used`` can exceed ``n_steps``; without kinks the steps are
     exactly ``n_steps`` uniform ones.  ``_level`` halves every step that
-    many times; it is the doubling level of :func:`simulate`.  Below
-    seven qubits the step unitaries are dense; from seven on each step acts
-    on the vector by Lanczos, and a step that needs more than 64 Lanczos
-    vectors raises :class:`NumericalError`.
+    many times; it is the doubling level of :func:`simulate`.
 
     A model of two qubits or more with no fields and no nonzero Z offset
     commutes with the global spin flip ``prod_k X_k``, and both start states
     are eigenstates of it, so such a run stays in one sector of half the
-    dimension.  Either path then propagates on that sector and lifts the
-    final state back to the full space; ``metadata["flip_sector"]`` gives the
-    sector's eigenvalue, +1 or -1, and is absent from a full-space run.  The
-    path is still chosen by the model's qubit count.
+    dimension.  It then propagates on that sector, on ``n - 1`` bits, and
+    lifts the final state back to the full space; ``metadata["flip_sector"]``
+    gives the sector's eigenvalue, +1 or -1, and is absent from a full-space
+    run.  The path is chosen by the bits propagated: below seven the step
+    unitaries are dense; from seven on each step acts on the vector by
+    Lanczos, and a step that needs more than 64 Lanczos vectors raises
+    :class:`NumericalError`.
 
     ``order`` is the number of series terms kept: one term converges at
     order 2 in the step width, two or more at order 4, capped there by the
@@ -957,9 +928,11 @@ def simulate_fixed(
         raise ValueError(f"evolution time must be >= 0, got {tau}")
     model, offsets = _prepare(model, offsets)
     starts, widths = _step_grid(n_steps, schedule.kinks, _level)
-    kind = _KrylovEngine if model.n_qubits >= _KRYLOV_MIN_QUBITS else _StepEngine
     try:
-        engine = kind(model, schedule, offsets, order, starts.size)
+        bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model),
+                               offsets).run_space()
+        kind = _KrylovEngine if bases.n_bits >= _KRYLOV_MIN_BITS else _StepEngine
+        engine = kind(bases, schedule, order, starts.size)
         psi = engine.propagate(starts, widths, tau)
     except MemoryError as exc:
         raise SizeError(f"out of memory at {model.n_qubits} qubits and order {order}") from exc
@@ -1111,14 +1084,13 @@ def simulate_reference_rk(
     exactly (no quadratic fits).  The trace is renormalized at the end and
     the accumulated drift is reported in the metadata.
     """
-    if n_steps < 1:
-        raise SolverConfigError(f"n_steps must be >= 1, got {n_steps}")
+    SolverConfig(n_steps=n_steps)
     if tau < 0:
         raise ValueError(f"evolution time must be >= 0, got {tau}")
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
     operators = bases.dense()
-    psi0 = _initial_state(model.n_qubits, schedule.initial_state_kind)
+    psi0 = bases.start_state()
     rho = np.outer(psi0, psi0.conj())
     h = 1.0 / n_steps
 

@@ -31,13 +31,11 @@ class AnnealingSchedule:
 
     ``kinks`` lists interior points where a derivative jump is known; the
     solver never lets an integration step straddle one.
-    ``initial_state_kind`` follows from ``driver_sign`` when not given.
     """
 
     A: Callable[[float], float]
     B: Callable[[float], float]
     driver_sign: int = 1
-    initial_state_kind: str | None = None
     name: str = "custom"
     kinks: tuple[float, ...] = ()
     table: tuple | None = field(default=None, compare=False, repr=False)
@@ -45,18 +43,15 @@ class AnnealingSchedule:
     def __post_init__(self):
         if self.driver_sign not in (1, -1):
             raise ScheduleError(f"driver_sign must be +1 or -1, got {self.driver_sign!r}")
-        expected = ALL_MINUS if self.driver_sign == 1 else ALL_PLUS
-        if self.initial_state_kind is None:
-            object.__setattr__(self, "initial_state_kind", expected)
-        elif self.initial_state_kind != expected:
-            raise ScheduleError(
-                f"initial_state_kind {self.initial_state_kind!r} is inconsistent with "
-                f"driver_sign {self.driver_sign:+d} (expected {expected!r})"
-            )
+
+    @property
+    def initial_state_kind(self) -> str:
+        """The start state, the driver's ground state under this sign."""
+        return ALL_MINUS if self.driver_sign == 1 else ALL_PLUS
 
     def with_driver_sign(self, driver_sign: int) -> "AnnealingSchedule":
         """Same envelopes under the other driver-sign convention."""
-        return replace(self, driver_sign=driver_sign, initial_state_kind=None)
+        return replace(self, driver_sign=driver_sign)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,16 @@ def random_model(rng: np.random.Generator, n_qubits: int) -> qa.IsingModel:
     return qa.IsingModel.from_terms(terms, n_qubits=n_qubits)
 
 
+def base_operators(model, schedule, offsets=None):
+    """The full-space base operators of a run; ``.run_space()`` gives the
+    space it propagates on, as :func:`annealsim.simulate_fixed` prepares it."""
+    from annealsim.hamiltonian import _BaseOperators
+
+    model = qa.IsingModel.from_terms(model)
+    return _BaseOperators(model.n_qubits, schedule.driver_sign, qa.ising_diagonal(model),
+                          offsets)
+
+
 def sector_isometry(n_qubits: int, parity: int) -> np.ndarray:
     """The (2**n, 2**(n-1)) isometry P whose column r is
     (|r> + parity |~r>) / sqrt(2), ~r flipping all n bits."""

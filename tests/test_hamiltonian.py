@@ -328,6 +328,8 @@ class TestEigenspectrum:
             qa.eigenspectrum(five_spin, circular, [])
         with pytest.raises(ValueError):
             qa.eigenspectrum(five_spin, circular, [0.0, 1.2])
+        with pytest.raises(ValueError, match="finite"):
+            qa.eigenspectrum(five_spin, circular, [0.0, float("nan")])
 
 
 class TestBruteForce:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealsim as qa
-from conftest import sector_isometry
+from conftest import base_operators, sector_isometry
 
 
 def random_antihermitian(rng, dim):
@@ -250,13 +250,11 @@ class TestStepPolynomial:
         with pytest.raises(ValueError):
             qa.build_step_polynomial(model, circular, None, 1.0, 0.6, 0.5)
 
-    def test_engine_matches_explicit_path(self, five_spin, circular, monkeypatch):
-        import annealsim.magnus as magnus_mod
+    def test_engine_matches_explicit_path(self, five_spin, circular):
         from annealsim.magnus import _StepEngine, _step_grid
 
         # on the full space; the sector case follows
-        monkeypatch.setattr(magnus_mod, "_flip_parity", lambda bases, psi0: None)
-        engine = _StepEngine(five_spin, circular, None)
+        engine = _StepEngine(base_operators(five_spin, circular), circular)
         assert engine.dim == 32
         starts, widths = _step_grid(16, ())
         batch = engine.generators(engine.weights(starts, widths, 3.0))
@@ -273,8 +271,8 @@ class TestStepPolynomial:
         from annealsim.magnus import _StepEngine, _step_grid
 
         sched = qa.builtin_schedule("circular", driver_sign=sign)
-        engine = _StepEngine(five_spin, sched, None)
-        assert (engine.parity, engine.dim) == (parity, 16)
+        engine = _StepEngine(base_operators(five_spin, sched).run_space(), sched)
+        assert (engine.bases.parity, engine.dim) == (parity, 16)
         iso = sector_isometry(5, parity)
         starts, widths = _step_grid(16, ())
         batch = engine.generators(engine.weights(starts, widths, 3.0))
@@ -304,7 +302,7 @@ class TestBatchedEngine:
         model, offsets = offset_chain
         sched = qa.builtin_schedule(schedule[0], driver_sign=schedule[1])
         tau = 3.0
-        engine = _StepEngine(model, sched, offsets, order)
+        engine = _StepEngine(base_operators(model, sched, offsets).run_space(), sched, order)
         assert engine.bases.count == 3
         starts, widths = _step_grid(8, sched.kinks)
         batch = engine.generators(engine.weights(starts, widths, tau))
@@ -357,7 +355,8 @@ class TestMemoryPreflight:
             qa.FieldOffsets.from_vectors(x=[0.1] * 3, z=[0.2] * 3, n_qubits=3)
             if with_offsets else None
         )
-        engine = _StepEngine(model, circular, offsets, order)
+        engine = _StepEngine(base_operators(model, circular, offsets).run_space(), circular,
+                             order)
         nb = engine.bases.count
         # the Z offsets keep the full space; the bare chain runs in its sector
         assert engine.bases.n_bits == (3 if with_offsets else 2)
@@ -395,14 +394,19 @@ class TestMemoryPreflight:
         assert _engine_bytes(6, 3, 8, 2)[1] < _engine_bytes(6, 3, 8, chunk)[1]
         assert _engine_bytes(6, 3, 8, chunk)[1] == _engine_bytes(6, 3, 8, 10**6)[1]
 
-    @pytest.mark.parametrize("n_qubits", [5, 7])
+    # a chain propagates in its flip sector: 4 bits run dense, 7 bits Krylov
+    @pytest.mark.parametrize("n_qubits", [5, 8])
     def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, n_qubits):
         import annealsim.magnus as magnus_mod
 
         monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 1 << 16)
+        krylov_bytes, sized = magnus_mod._krylov_bytes, []
+        monkeypatch.setattr(magnus_mod, "_krylov_bytes",
+                            lambda *args: sized.append(args) or krylov_bytes(*args))
         chain = {(i, i + 1): 1.0 for i in range(1, n_qubits)}
         with pytest.raises(qa.SizeError, match=f"{n_qubits} qubits at order 4 with 2 base"):
             qa.simulate_fixed(chain, 1.0, circular, n_steps=1)
+        assert sized == ([(7, 2, 4)] if n_qubits == 8 else [])
 
     def test_sector_run_is_sized_on_its_sector(self, circular, monkeypatch):
         import annealsim.magnus as magnus_mod
@@ -413,7 +417,9 @@ class TestMemoryPreflight:
         chain = {(i, i + 1): 1.0 for i in range(1, 6)}
         result = qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2)
         assert result.metadata["flip_sector"] == 1
-        monkeypatch.setattr(magnus_mod, "_flip_parity", lambda bases, psi0: None)
+        from annealsim.hamiltonian import _BaseOperators
+
+        monkeypatch.setattr(_BaseOperators, "run_space", lambda self: self)
         with pytest.raises(qa.SizeError, match="6 qubits at order 8 with 2 base"):
             qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2)
 

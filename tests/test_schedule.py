@@ -58,10 +58,12 @@ class TestBuiltins:
         assert direct.initial_state_kind == "all_plus"
         assert direct.with_driver_sign(1).initial_state_kind == "all_minus"
 
-    def test_inconsistent_state_kind_rejected(self, circular):
-        with pytest.raises(qa.ScheduleError):
-            qa.AnnealingSchedule(A=circular.A, B=circular.B, driver_sign=-1,
-                                 initial_state_kind="all_minus")
+    def test_replace_keeps_the_state_with_the_sign(self, circular):
+        import dataclasses
+
+        plus = dataclasses.replace(circular.with_driver_sign(-1), A=circular.B, B=circular.A)
+        assert (plus.driver_sign, plus.initial_state_kind) == (-1, "all_plus")
+        assert plus.A is circular.B
 
 
 class TestUserSchedules:

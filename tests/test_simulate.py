@@ -5,7 +5,7 @@ import pytest
 
 import annealsim as qa
 import annealsim.magnus as magnus_mod
-from conftest import random_model
+from conftest import base_operators, random_model
 
 
 def dw_glass(seed):
@@ -120,13 +120,33 @@ class TestSimulateFixed:
             qa.simulate_fixed(five_spin, 1.0, circular, order=4, n_steps=0)
         with pytest.raises(ValueError):
             qa.simulate_fixed(five_spin, -1.0, circular)
+        # counts must be integers: no rounding of 2.5 steps, no order True
+        for bad in ({"n_steps": 2.5}, {"initial_steps": 1.5}, {"order": True},
+                    {"order": 4.0}, {"max_doublings": 2.0}, {"n_steps": True}):
+            with pytest.raises(qa.SolverConfigError, match="must be an integer"):
+                qa.SolverConfig(**bad)
+        with pytest.raises(qa.SolverConfigError, match="n_steps must be an integer"):
+            qa.simulate_fixed(five_spin, 1.0, circular, n_steps=2.5)
+        with pytest.raises(qa.SolverConfigError, match="order must be an integer"):
+            qa.simulate_fixed(five_spin, 1.0, circular, order=True, n_steps=4)
+        with pytest.raises(qa.SolverConfigError, match="initial_steps must be an integer"):
+            qa.simulate(five_spin, 1.0, circular, initial_steps=1.5)
+        with pytest.raises(qa.SolverConfigError, match="n_steps must be an integer"):
+            qa.simulate_reference_rk(five_spin, 1.0, circular, n_steps=2.5)
+        with pytest.raises(qa.SolverConfigError, match="n_steps must be >= 1"):
+            qa.simulate_reference_rk(five_spin, 1.0, circular, n_steps=0)
+        # numpy integers are counts
+        assert qa.simulate_fixed(five_spin, 1.0, circular, order=np.int64(4),
+                                 n_steps=np.int64(3)).steps_used == 3
+        rk = qa.simulate_reference_rk(five_spin, 1.0, circular, n_steps=np.int32(2))
+        assert rk.steps_used == 2
 
 
 class TestStepUnitarity:
     def test_every_step_propagator_is_unitary(self, five_spin, circular):
         from annealsim.magnus import _StepEngine, _step_grid
 
-        engine = _StepEngine(five_spin, circular, None)
+        engine = _StepEngine(base_operators(five_spin, circular).run_space(), circular)
         starts, widths = _step_grid(97, circular.kinks)
         omegas = engine.generators(engine.weights(starts, widths, 100.0))
         unitaries = np.array([qa.exponentiate_omega(omega) for omega in omegas])
@@ -429,7 +449,7 @@ class TestNonFiniteGenerators:
         # of ten steps only the third has a node there, its midpoint 0.25
         sched = qa.schedule_from_functions(
             lambda s: np.where((s > 0.2) & (s < 0.3), np.nan, 1.0 - s), lambda s: s + 0.0)
-        monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_QUBITS", 1 if path == "krylov" else 99)
+        monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
         # a chunk element bound of 1 puts every step in a chunk of its own
         monkeypatch.setattr(magnus_mod, "_CHUNK_ELEMENTS", chunk_elements)
         with pytest.raises(qa.NumericalError, match=r"non-finite step generator at step index 2$"):
@@ -438,7 +458,7 @@ class TestNonFiniteGenerators:
 
 def _propagate(monkeypatch, path, *args, **kwargs):
     """simulate_fixed forced onto the dense or the Krylov path."""
-    monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_QUBITS", 1 if path == "krylov" else 99)
+    monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
     result = qa.simulate_fixed(*args, **kwargs)
     assert result.metadata["propagator"] == path
     return result
@@ -481,7 +501,7 @@ class TestKrylovPath:
 
         model = random_model(np.random.default_rng(7), 7)
         tau = 4.0
-        engine = _StepEngine(model, circular, None)
+        engine = _StepEngine(base_operators(model, circular).run_space(), circular)
         omega = engine.generators(engine.weights(np.array([0.0]), np.array([1.0]), tau))[0]
         assert np.abs(np.linalg.eigvalsh(1j * omega)).max() >= 120
         calls = []
@@ -514,9 +534,9 @@ class TestKrylovPath:
 
         model = random_model(np.random.default_rng(9), 5)
         offsets = _offsets(np.random.default_rng(10), 5)
-        engine = _StepEngine(model, circular, offsets)
+        engine = _StepEngine(base_operators(model, circular, offsets).run_space(), circular)
         omega = engine.generators(engine.weights(np.array([0.0]), np.array([1.0]), 3.0))[0]
-        expected = linalg.expm_multiply(omega, engine.psi0)
+        expected = linalg.expm_multiply(omega, engine.bases.start_state())
         krylov = _propagate(monkeypatch, "krylov", model, 3.0, circular, n_steps=1,
                             offsets=offsets)
         assert np.abs(krylov.state - expected).max() <= 1e-13
@@ -540,6 +560,19 @@ class TestKrylovPath:
         assert result.metadata["propagator"] == "krylov"
         assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_path_follows_the_propagated_bits(self, circular):
+        # a coupling-only model propagates n - 1 bits in its flip sector:
+        # 6 bits run dense, 7 Krylov, whatever the qubit count
+        couplings = {(i, j): 1.0 for i in range(1, 8) for j in range(i + 1, 8)}
+        cases = [("dense", couplings, 7), ("krylov", {**couplings, (1,): 0.5}, 7),
+                 ("krylov", {**couplings, (7, 8): -1.0}, 8)]
+        for path, terms, n_qubits in cases:
+            model = qa.IsingModel.from_terms(terms, n_qubits=n_qubits)
+            result = qa.simulate_fixed(model, 0.1, circular, n_steps=2)
+            assert result.metadata["propagator"] == path
+            assert ("flip_sector" in result.metadata) == ((1,) not in model.terms)
+            assert result.state.shape == (1 << model.n_qubits,)
+
     def test_propagator_reported(self, circular):
         dense = qa.simulate_fixed(random_model(np.random.default_rng(1), 5), 1.0, circular,
                                   n_steps=4)
@@ -558,7 +591,9 @@ class TestKrylovPath:
 
 
 def _no_sector(monkeypatch):
-    monkeypatch.setattr(magnus_mod, "_flip_parity", lambda bases, psi0: None)
+    from annealsim.hamiltonian import _BaseOperators
+
+    monkeypatch.setattr(_BaseOperators, "run_space", lambda self: self)
 
 
 def _flip_free_model(rng, n_qubits):
