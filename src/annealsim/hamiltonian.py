@@ -203,10 +203,12 @@ def _eval_envelope(fn, points: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _mask_axes(n_bits: int, mask: int) -> tuple[int, ...]:
-    """The axes of a (p, 2, ..., 2) block that hold the bits set in ``mask``;
-    bit ``k`` is axis ``n_bits - k``."""
-    return tuple(n_bits - k for k in range(n_bits) if mask >> k & 1)
+def _flip_index(mask: int) -> tuple:
+    """The index that flips the bits set in ``mask`` of an array whose last
+    axes are the bits, bit 0 last: it reverses the axes of those bits, a view
+    equal to ``np.flip`` on them."""
+    return (Ellipsis,) + tuple(slice(None, None, -1) if mask >> k & 1 else slice(None)
+                               for k in reversed(range(mask.bit_length())))
 
 
 class _BaseOperators:
@@ -217,8 +219,8 @@ class _BaseOperators:
     weighted by ``A(s)``, ``B(s)`` and 1.  Each is held as a list of flips
     ``(mask, w)``, meaning ``w`` times the operator that flips every bit set
     in ``mask``, plus a diagonal or None.  They are formed as a dense stack
-    (:meth:`dense`) or applied to a block of vectors without one
-    (:meth:`apply`).
+    (:meth:`dense`) or applied to vectors without one: each base to a block
+    (:meth:`apply`), or each to its own vector, summed (:meth:`apply_sum`).
 
     Where every diagonal reads the same backwards, so that no field and no Z
     offset breaks the symmetry, every base commutes with the global spin flip
@@ -322,29 +324,41 @@ class _BaseOperators:
         return out
 
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
-        """out[a*p : (a+1)*p] = B_a src for every base a, src being (p, dim).
+        """out[a*p : (a+1)*p] = B_a src for every base a, src being (p, dim)."""
+        p = src.shape[0]
+        for a in range(self.count):
+            self._apply_base(a, src, out[a * p : (a + 1) * p], add=False)
+
+    def apply_sum(self, u: np.ndarray, out: np.ndarray) -> None:
+        """out = sum_a B_a u[a], u being (count, dim)."""
+        for a in range(self.count):
+            self._apply_base(a, u[a], out, add=a > 0)
+
+    def _apply_base(self, a: int, src: np.ndarray, out: np.ndarray, add: bool) -> None:
+        """out = B_a src, or out += B_a src where ``add``; ``src`` is one
+        vector or a block of them, shaped like ``out``.
 
         With the basis index split into one axis per bit, a flip reverses
         the axes of the bits in its mask.
         """
-        p = src.shape[0]
-        shape = (p,) + (2,) * self.n_bits
-        s = src.reshape(shape)
-        for a, (flips, diagonal) in enumerate(self.terms):
-            block = out[a * p : (a + 1) * p]
-            if diagonal is None:
-                block[...] = 0.0
+        flips, diagonal = self.terms[a]
+        if add:
+            if diagonal is not None:
+                out += src * diagonal
+        elif diagonal is None:
+            out[...] = 0.0
+        else:
+            np.multiply(src, diagonal, out=out)
+        shape = src.shape[:-1] + (2,) * self.n_bits
+        s, o = src.reshape(shape), out.reshape(shape)
+        for mask, w in flips:
+            flipped = s[_flip_index(mask)]
+            if w == 1.0:
+                o += flipped
+            elif w == -1.0:
+                o -= flipped
             else:
-                np.multiply(src, diagonal, out=block)
-            o = block.reshape(shape)
-            for mask, w in flips:
-                flipped = np.flip(s, _mask_axes(self.n_bits, mask))
-                if w == 1.0:
-                    o += flipped
-                elif w == -1.0:
-                    o -= flipped
-                else:
-                    o += w * flipped
+                o += w * flipped
 
 
 def _combine(coeffs: np.ndarray, operators: np.ndarray) -> np.ndarray:

@@ -94,6 +94,14 @@ class TestSimulate:
         )
         assert code == 0
 
+    def test_non_finite_time_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        code = main(["simulate", "--model", "1,2=-1", "--schedule", "linear", "--time", "nan",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[args]: evolution time must be finite")
+        assert not out.exists()
+
     def test_missing_model_exits_2(self, capsys):
         assert main(["simulate", "--time", "1", "--schedule", "circular"]) == 2
 
@@ -186,6 +194,14 @@ class TestSweep:
         )
         assert code == 2
         assert "error[args]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_time_fails_whole_sweep_with_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = main(["sweep", "--model", "1,2=-1", "--schedule", "circular", "--steps", "32",
+                     "--times", "1.0,inf", "--out", str(out)])
+        assert code == 2
+        assert "error[args]: evolution time must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_output_sorted_by_time_regardless_of_input_order(self, tmp_path, capsys):

@@ -244,6 +244,19 @@ class TestBaseOperators:
         # each row of the block is a vector; the bases are symmetric
         expected = np.concatenate([block @ base for base in bases.dense()])
         assert np.abs(out - expected).max() <= 1e-13
+        summed = np.empty(dim, dtype=complex)
+        bases.apply_sum(block[: bases.count], summed)
+        expected = sum(base @ row for base, row in zip(bases.dense(), block))
+        assert np.abs(summed - expected).max() <= 1e-13
+
+    def test_flip_index_flips_the_bits_of_its_mask(self):
+        from annealsim.hamiltonian import _flip_index
+
+        n = 5
+        index = np.arange(1 << n)
+        for mask in range(1 << n):
+            flipped = index.reshape((2,) * n)[_flip_index(mask)]
+            assert np.array_equal(flipped.ravel(), index ^ mask)
 
     @pytest.mark.parametrize("parity", [1, -1])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -270,6 +283,9 @@ class TestBaseOperators:
         out = np.empty((sector.count * p, dim), dtype=complex)
         sector.apply(block, out)
         assert np.abs(out - np.concatenate([block @ base for base in expected])).max() <= 1e-13
+        summed = np.empty(dim, dtype=complex)
+        sector.apply_sum(block, summed)
+        assert np.abs(summed - sum(base @ row for base, row in zip(expected, block))).max() <= 1e-13
 
     def test_fields_and_z_offsets_break_the_symmetry(self):
         from annealsim.hamiltonian import _BaseOperators

@@ -335,9 +335,10 @@ class TestMemoryPreflight:
 
         import annealsim.magnus as magnus_mod
 
-        # the Krylov path's widest trie level alone is 3**8 * 2**16 * 16 bytes,
-        # 6.9 GB; pin the limit so the outcome does not depend on the machine
-        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 8 << 30)
+        # the Krylov path's buffers take 2.9 GiB here, its widest trie level
+        # 3**7 * 2**16 * 16 bytes; pin the limit below that so the outcome
+        # does not depend on the machine
+        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 2 << 30)
         chain = {(i, i + 1): 1.0 for i in range(1, 16)}
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 16, z=[0.1] * 16, n_qubits=16)
         start = time.perf_counter()
@@ -426,8 +427,11 @@ class TestMemoryPreflight:
     def test_krylov_estimate_counts_basis_and_trie(self):
         from annealsim.magnus import _KRYLOV_MAX_DIM, _krylov_bytes
 
-        assert _krylov_bytes(16, 3, 8) >= 3**8 * 2**16 * 16
-        assert _krylov_bytes(9, 2, 4) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 2**4 + 2**3)
+        # the trie stops at words of length order - 1: 2.9 GiB at 16 qubits,
+        # order 8 with offsets, where words of length 8 took 8.6 GiB
+        assert 3**7 * 2**16 * 16 <= _krylov_bytes(16, 3, 8) < 3 * 2**30
+        assert _krylov_bytes(9, 2, 4) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 2 + 2**3 + 2**2)
+        assert _krylov_bytes(9, 3, 1) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 3)
 
     def test_limit_is_the_least_of_memory_rlimit_and_cgroup(self, monkeypatch, tmp_path):
         import annealsim.magnus as magnus_mod

@@ -141,6 +141,23 @@ class TestSimulateFixed:
         rk = qa.simulate_reference_rk(five_spin, 1.0, circular, n_steps=np.int32(2))
         assert rk.steps_used == 2
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("run", [
+        lambda model, tau, sched: qa.simulate_fixed(model, tau, sched, n_steps=4),
+        lambda model, tau, sched: qa.simulate(model, tau, sched),
+        lambda model, tau, sched: qa.simulate_reference_rk(model, tau, sched, n_steps=4),
+        lambda model, tau, sched: qa.simulate_sweep(model, [1.0, tau], sched),
+    ], ids=["simulate_fixed", "simulate", "simulate_reference_rk", "simulate_sweep"])
+    def test_non_finite_time_is_refused(self, circular, run, tau):
+        # refused as an argument, not run into a non-finite step generator
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            run(qa.coupled_pair_model(), tau, circular)
+
+    @pytest.mark.parametrize("run", [qa.simulate_fixed, qa.simulate_reference_rk])
+    def test_fixed_step_run_needs_a_step_count(self, circular, run):
+        with pytest.raises(qa.SolverConfigError, match="needs n_steps"):
+            run(qa.coupled_pair_model(), 1.0, circular, n_steps=None)
+
 
 class TestStepUnitarity:
     def test_every_step_propagator_is_unitary(self, five_spin, circular):
@@ -495,6 +512,32 @@ class TestKrylovPath:
         krylov = _propagate(monkeypatch, "krylov", *args, **kwargs)
         assert qa.trace_distance(dense.rho, krylov.rho) <= 1e-13
         assert np.abs(dense.probabilities - krylov.probabilities).max() <= 1e-13
+
+    @pytest.mark.parametrize("sector", [False, True])
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 4, 6, 8])
+    def test_apply_omega_is_the_word_sum(self, circular, order, with_offsets, sector):
+        # Omega v grouped by first letter against every word applied on its own,
+        # from the dense engine's cached word products
+        from annealsim.magnus import _KrylovEngine, _StepEngine
+
+        rng = np.random.default_rng(40 + order + 10 * with_offsets + 100 * sector)
+        n = 5 if sector else 4
+        terms = {pair: float(rng.normal()) for pair in itertools.combinations(range(1, n + 1), 2)}
+        if not sector:
+            terms[(1,)] = 0.7
+        z = np.zeros(n) if sector else 0.3 * rng.normal(size=n)
+        offsets = qa.FieldOffsets.from_vectors(x=0.3 * rng.normal(size=n), z=z)
+        bases = base_operators(terms, circular, offsets if with_offsets else None).run_space()
+        assert (bases.n_bits, bases.count) == (4, 2 + with_offsets)
+        assert (bases.parity is not None) == sector
+        dense = _StepEngine(bases, circular, order)
+        weights = 1j * dense.weights(np.array([0.2]), np.array([0.1]), 3.0)[0]
+        v = rng.normal(size=bases.dim) + 1j * rng.normal(size=bases.dim)
+        expected = weights @ (dense.products.reshape(-1, bases.dim, bases.dim) @ v)
+        out = np.empty(bases.dim, dtype=complex)
+        _KrylovEngine(bases, circular, order).apply_omega(weights, v, out)
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_wide_step_is_refused(self, monkeypatch, circular):
         from annealsim.magnus import _KrylovEngine, _StepEngine
