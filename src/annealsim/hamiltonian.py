@@ -303,11 +303,6 @@ class _BaseOperators:
         out[:, 1] = _eval_envelope(schedule.B, s)
         return out
 
-    def hamiltonians(self, schedule, s: np.ndarray, operators: np.ndarray) -> np.ndarray:
-        """``H`` at every point of ``s``, from the stack ``operators`` that
-        :meth:`dense` built."""
-        return _combine(self.envelopes(schedule, s), operators)
-
     def dense(self, count: int | None = None) -> np.ndarray:
         """The real stack ``(count, dim, dim)`` of the first ``count`` bases
         (all by default), filled in place, so that no dim x dim temporary is
@@ -384,7 +379,7 @@ def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = Non
         raise ValueError(f"s must lie in [0, 1], got {s}")
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
-    return bases.hamiltonians(schedule, np.array([float(s)]), bases.dense())[0]
+    return _combine(bases.envelopes(schedule, np.array([float(s)])), bases.dense())[0]
 
 
 def eigenspectrum(
@@ -406,7 +401,7 @@ def eigenspectrum(
     levels = np.empty((grid.size, bases.dim))
     chunk = max(1, (1 << 22) // (bases.dim * bases.dim))
     for lo in range(0, grid.size, chunk):
-        stack = bases.hamiltonians(schedule, grid[lo : lo + chunk], operators)
+        stack = _combine(bases.envelopes(schedule, grid[lo : lo + chunk]), operators)
         levels[lo : lo + chunk] = np.linalg.eigvalsh(stack)
     return SpectrumResult(s_grid=grid, levels=levels)
 

@@ -26,8 +26,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def _check_args(s: float, tau: float) -> None:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
 
 
 def single_field_model() -> IsingModel:

@@ -366,7 +366,8 @@ class TestMemoryPreflight:
         # the bases lead the cache
         assert np.array_equal(engine.products[:nb], engine.bases.dense().reshape(nb, -1))
 
-    def test_allocation_failure_is_a_size_error(self, circular, monkeypatch):
+    @pytest.mark.parametrize("run", [qa.simulate_fixed, qa.simulate_reference_rk])
+    def test_allocation_failure_is_a_size_error(self, circular, monkeypatch, run):
         from annealsim.hamiltonian import _BaseOperators
 
         def fail(self):
@@ -374,7 +375,7 @@ class TestMemoryPreflight:
 
         monkeypatch.setattr(_BaseOperators, "dense", fail)
         with pytest.raises(qa.SizeError, match="out of memory"):
-            qa.simulate_fixed(qa.coupled_pair_model(), 1.0, circular, n_steps=4)
+            run(qa.coupled_pair_model(), 1.0, circular, n_steps=4)
 
 
     def test_short_run_is_sized_by_its_steps(self, circular, monkeypatch):
@@ -408,6 +409,18 @@ class TestMemoryPreflight:
         with pytest.raises(qa.SizeError, match=f"{n_qubits} qubits at order 4 with 2 base"):
             qa.simulate_fixed(chain, 1.0, circular, n_steps=1)
         assert sized == ([(7, 2, 4)] if n_qubits == 8 else [])
+
+    def test_rk_reference_refuses_what_exceeds_the_limit(self, circular, monkeypatch):
+        import annealsim.magnus as magnus_mod
+        from annealsim.hamiltonian import _BaseOperators
+
+        # 8 qubits: a 1 MB real base stack against a 64 KiB limit, refused
+        # before the stack is built
+        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 1 << 16)
+        monkeypatch.setattr(_BaseOperators, "dense", lambda self: pytest.fail("allocated"))
+        chain = {(i, i + 1): 1.0 for i in range(1, 8)}
+        with pytest.raises(qa.SizeError, match="8 qubits at order 4 with 2 base"):
+            qa.simulate_reference_rk(chain, 1.0, circular, n_steps=1)
 
     def test_sector_run_is_sized_on_its_sector(self, circular, monkeypatch):
         import annealsim.magnus as magnus_mod

@@ -80,6 +80,14 @@ class TestPsiH2:
         assert qa.trace_distance(result.rho, qa.rho_h2(1.0, 50.0)) <= 1e-11
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+@pytest.mark.parametrize("closed_form", [qa.rho_h1, qa.psi_h2, qa.rho_h2])
+def test_non_finite_tau_is_refused(closed_form, tau):
+    # a NaN tau passes "tau <= 0" and would give an all-NaN state
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        closed_form(0.5, tau)
+
+
 class TestOracleHamiltonians:
     def test_single_qubit_endpoints(self):
         assert np.allclose(qa.hamiltonian_h1(0.0), SIGMA_X)

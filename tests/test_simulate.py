@@ -584,6 +584,19 @@ class TestKrylovPath:
                             offsets=offsets)
         assert np.abs(krylov.state - expected).max() <= 1e-13
 
+    @pytest.mark.parametrize("n_qubits", [7, 8])
+    def test_matches_state_vector_rk(self, linear, n_qubits):
+        # a +-1 glass with a field on every qubit keeps the full space, so it
+        # runs Krylov; RK4 shares none of the series, the trie or Lanczos
+        rng = np.random.default_rng(5)
+        terms = {pair: float(rng.choice((-1.0, 1.0)))
+                 for pair in itertools.combinations(range(1, n_qubits + 1), 2)}
+        terms.update({(i,): 0.3 for i in range(1, n_qubits + 1)})
+        magnus = qa.simulate_fixed(terms, 1.0, linear, order=4, n_steps=64)
+        rk = qa.simulate_reference_rk(terms, 1.0, linear, n_steps=2000)
+        assert magnus.metadata["propagator"] == "krylov"
+        assert qa.trace_distance(magnus.rho, rk.rho) <= 1e-9
+
     def test_thirteen_qubits_form_no_density_matrix(self, linear):
         import tracemalloc
 
@@ -625,8 +638,11 @@ class TestKrylovPath:
         assert krylov.metadata["propagator"] == "krylov"
         assert 1 <= krylov.metadata["krylov_max_dim"] <= magnus_mod._KRYLOV_MAX_DIM
 
-    def test_rho_formed_on_first_read(self, five_spin, circular):
-        result = qa.simulate_fixed(five_spin, 1.0, circular, n_steps=4)
+    @pytest.mark.parametrize("run", [qa.simulate_fixed, qa.simulate_reference_rk])
+    def test_rho_formed_on_first_read(self, five_spin, circular, run):
+        # every path, the RK4 reference too, returns the state vector
+        result = run(five_spin, 1.0, circular, n_steps=4)
+        assert result.state.shape == (1 << 5,)
         assert "rho" not in vars(result)
         rho = result.rho
         assert rho is result.rho
