@@ -18,10 +18,18 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from collections.abc import Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
+from pathlib import Path
 from typing import Any
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import numpy as np
 
@@ -29,10 +37,56 @@ from .errors import ModelError, SizeError
 
 MAX_QUBITS = 16
 
+_PHYSICAL_MEMORY = (
+    os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else math.inf
+)
+# the memory limit of the process's cgroup (v2), where there is one
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
+
 
 def _validate_qubit_count(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or not 1 <= int(n) <= MAX_QUBITS:
         raise SizeError(f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n!r}")
+
+
+def _memory_limit() -> float:
+    """Bytes this process may use: the least of physical memory, the
+    address-space limit and the cgroup limit, where those are set."""
+    limits = [_PHYSICAL_MEMORY]
+    if resource is not None:
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    try:
+        text = _CGROUP_MEMORY_MAX.read_text(encoding="ascii").strip()
+        if text != "max":
+            limits.append(int(text))
+    except (OSError, ValueError):
+        pass
+    return min(limits)
+
+
+def _preflight(need: int, subject: str) -> None:
+    """SizeError where ``need`` bytes exceed what this process may use;
+    ``subject`` names the qubit count and what is sized."""
+    limit = _memory_limit()
+    if need > limit:
+        raise SizeError(
+            f"{subject} need {need} bytes, more than the {limit} bytes this process may use"
+        )
+
+
+@contextmanager
+def _dense_gate(n_qubits: int, what: str, planes: int, itemsize: int = 8):
+    """Refuse ``planes`` dense ``2**n x 2**n`` arrays of ``itemsize`` bytes
+    an element that would not fit in memory, before the block allocates
+    them, and turn an allocation failure in the block into SizeError."""
+    subject = f"{n_qubits} qubits in {what}"
+    _preflight((planes * itemsize) << (2 * n_qubits), subject)
+    try:
+        yield
+    except MemoryError as exc:
+        raise SizeError(f"out of memory at {subject}") from exc
 
 
 @dataclass(frozen=True, eq=True)
@@ -160,7 +214,8 @@ def transverse_matrix(n_qubits: int) -> np.ndarray:
     """Sum of Pauli-X operators over all qubits as a dense symmetric matrix."""
     _validate_qubit_count(n_qubits)
     n = int(n_qubits)
-    return _BaseOperators(n, 1, np.zeros(1 << n), None).dense(1)[0]
+    with _dense_gate(n, "the transverse field", 1):
+        return _BaseOperators(n, 1, np.zeros(1 << n), None).dense(np.array([[1.0, 0.0]]))[0]
 
 
 def ising_diagonal(model: IsingModel | Mapping) -> np.ndarray:
@@ -218,9 +273,9 @@ class _BaseOperators:
     when an offset is nonzero, the constant field ``sum_k x_k X_k + z_k Z_k``,
     weighted by ``A(s)``, ``B(s)`` and 1.  Each is held as a list of flips
     ``(mask, w)``, meaning ``w`` times the operator that flips every bit set
-    in ``mask``, plus a diagonal or None.  They are formed as a dense stack
-    (:meth:`dense`) or applied to vectors without one: each base to a block
-    (:meth:`apply`), or each to its own vector, summed (:meth:`apply_sum`).
+    in ``mask``, plus a diagonal or None.  Their weighted sums are formed
+    dense (:meth:`dense`), or they are applied to vectors: each base to a
+    block (:meth:`apply`), or each to its own vector, summed (:meth:`apply_sum`).
 
     Where every diagonal reads the same backwards, so that no field and no Z
     offset breaks the symmetry, every base commutes with the global spin flip
@@ -303,19 +358,23 @@ class _BaseOperators:
         out[:, 1] = _eval_envelope(schedule.B, s)
         return out
 
-    def dense(self, count: int | None = None) -> np.ndarray:
-        """The real stack ``(count, dim, dim)`` of the first ``count`` bases
-        (all by default), filled in place, so that no dim x dim temporary is
-        made.  Flips of one mask add up: on two qubits both driver flips
-        of a sector flip its one bit."""
-        terms = self.terms[:count]
-        out = np.zeros((len(terms), self.dim, self.dim))
+    def dense(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """Planes ``sum_b weights[k, b] B_b`` (real or complex), by default
+        the bases themselves, each filled in place from the flips and diagonal
+        of every base of nonzero weight, so that no other dim x dim array is
+        made.  Flips of one mask add up: on two qubits both driver flips of a
+        sector flip its one bit."""
+        weights = np.eye(self.count) if weights is None else weights
+        out = np.zeros((len(weights), self.dim, self.dim), np.result_type(weights, float))
         idx = np.arange(self.dim)
-        for base, (flips, diagonal) in zip(out, terms):
-            for mask, w in flips:
-                base[idx, idx ^ mask] += w
-            if diagonal is not None:
-                base[idx, idx] = diagonal
+        for plane, row in zip(out, weights):
+            for (flips, diagonal), c in zip(self.terms, row):
+                if c == 0:
+                    continue
+                for mask, w in flips:
+                    plane[idx, idx ^ mask] += c * w
+                if diagonal is not None:
+                    plane[idx, idx] += c * diagonal
         return out
 
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
@@ -356,30 +415,20 @@ class _BaseOperators:
                 o += w * flipped
 
 
-def _combine(coeffs: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    """``sum_b coeffs[:, b] * operators[b]``; real operators are never copied
-    to complex."""
-    ops = operators.reshape(operators.shape[0], -1)
-    shape = coeffs.shape[:1] + operators.shape[1:]
-    if not np.iscomplexobj(coeffs):
-        return (coeffs @ ops).reshape(shape)
-    re_im = (np.concatenate([coeffs.real, coeffs.imag]) @ ops).reshape((2,) + shape)
-    out = np.empty(shape, dtype=complex)
-    out.real, out.imag = re_im
-    return out
-
-
 def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = None) -> np.ndarray:
     """Dense ``H(s)`` for a model, schedule and normalized time ``s`` in [0, 1].
 
     Assembles ``sign * A(s) * H_x + B(s) * diag(E_ising)`` plus any constant
     field offsets, where ``sign`` is the schedule's driver-sign convention.
+    The result is the only ``2**n x 2**n`` array made; where it would not fit
+    in memory, :class:`SizeError` is raised.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
-    return _combine(bases.envelopes(schedule, np.array([float(s)])), bases.dense())[0]
+    with _dense_gate(model.n_qubits, "H(s)", 1):
+        return bases.dense(bases.envelopes(schedule, np.array([float(s)])))[0]
 
 
 def eigenspectrum(
@@ -388,7 +437,14 @@ def eigenspectrum(
     s_grid: Sequence[float],
     offsets: FieldOffsets | None = None,
 ) -> SpectrumResult:
-    """Ascending eigenvalues of ``H(s)`` at each grid point."""
+    """Ascending eigenvalues of ``H(s)`` at each grid point.
+
+    ``H(s)`` is built for a chunk of grid points at a time, up to 32 MiB of
+    them, and each matrix of the chunk is diagonalized; no other
+    ``2**n x 2**n`` array is held.  Where a chunk and the copy that the
+    eigensolver makes of one matrix would not fit in memory,
+    :class:`SizeError` is raised.
+    """
     model, offsets = _prepare(model, offsets)
     grid = np.asarray(s_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -397,12 +453,12 @@ def eigenspectrum(
         raise ValueError("s_grid values must be finite and lie in [0, 1]")
 
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
-    operators = bases.dense()
     levels = np.empty((grid.size, bases.dim))
-    chunk = max(1, (1 << 22) // (bases.dim * bases.dim))
-    for lo in range(0, grid.size, chunk):
-        stack = _combine(bases.envelopes(schedule, grid[lo : lo + chunk]), operators)
-        levels[lo : lo + chunk] = np.linalg.eigvalsh(stack)
+    chunk = min(grid.size, max(1, (1 << 22) // (bases.dim * bases.dim)))
+    with _dense_gate(model.n_qubits, "a spectrum", chunk + 1):
+        for lo in range(0, grid.size, chunk):
+            stack = bases.dense(bases.envelopes(schedule, grid[lo : lo + chunk]))
+            levels[lo : lo + chunk] = np.linalg.eigvalsh(stack)
     return SpectrumResult(s_grid=grid, levels=levels)
 
 

@@ -34,20 +34,13 @@ Lanczos to resolve, and :func:`simulate` skips that level.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product as _iterproduct
-from pathlib import Path
 from typing import Any
-
-try:
-    import resource
-except ImportError:  # not on every platform
-    resource = None
 
 import numpy as np
 
@@ -55,7 +48,8 @@ from .errors import ConvergenceError, NumericalError, SizeError, SolverConfigErr
 from .hamiltonian import (
     FieldOffsets,
     _BaseOperators,
-    _combine,
+    _dense_gate,
+    _preflight,
     _prepare,
     ising_diagonal,
 )
@@ -537,11 +531,6 @@ _CHUNK_ELEMENTS = 1 << 21  # per-chunk working-set bound (matrix elements)
 # complex arrays of a chunk's size alive at once while a dense chunk advances
 # (measured with ru_maxrss: 2.0-2.3 at 3-8 qubits)
 _CHUNK_ARRAYS = 3
-_PHYSICAL_MEMORY = (
-    os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else math.inf
-)
-# the memory limit of the process's cgroup (v2), where there is one
-_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
 # From this many propagated bits on (qubits, or qubits - 1 in a flip sector),
 # steps act on the state vector by Lanczos; below it the dense engine is
@@ -558,32 +547,6 @@ _KRYLOV_MAX_DIM = 64
 
 class _WideStepError(NumericalError):
     """A step too wide for the Krylov path; more steps resolve it."""
-
-
-def _memory_limit() -> float:
-    """Bytes this process may use: the least of physical memory, the
-    address-space limit and the cgroup limit, where those are set."""
-    limits = [_PHYSICAL_MEMORY]
-    if resource is not None:
-        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-        if soft != resource.RLIM_INFINITY:
-            limits.append(soft)
-    try:
-        text = _CGROUP_MEMORY_MAX.read_text(encoding="ascii").strip()
-        if text != "max":
-            limits.append(int(text))
-    except (OSError, ValueError):
-        pass
-    return min(limits)
-
-
-def _preflight(need: int, n_qubits: int, n_bases: int, order: int) -> None:
-    limit = _memory_limit()
-    if need > limit:
-        raise SizeError(
-            f"{n_qubits} qubits at order {order} with {n_bases} base operators "
-            f"need {need} bytes, more than the {limit} bytes this process may use"
-        )
 
 
 def _segments(n_steps: int, kinks: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -700,7 +663,8 @@ class _Engine:
         self.schedule = schedule
         self.order = order
         self.dim = bases.dim
-        _preflight(self.memory_bytes(steps), bases.n_qubits, bases.count, order)
+        _preflight(self.memory_bytes(steps),
+                   f"{bases.n_qubits} qubits at order {order} with {bases.count} base operators")
 
     def weights(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
         """Word weights (steps, words) of the generators of a batch of steps."""
@@ -761,8 +725,12 @@ class _StepEngine(_Engine):
         return sum(_engine_bytes(self.bases.n_bits, self.bases.count, self.order, steps))
 
     def generators(self, weights: np.ndarray) -> np.ndarray:
-        """Step generators (steps, dim, dim) from their word weights."""
-        return _combine(weights, self.products).reshape(-1, self.dim, self.dim)
+        """Step generators (steps, dim, dim) from their complex word weights,
+        by one real product, so the cached products are never made complex."""
+        re_im = np.concatenate([weights.real, weights.imag]) @ self.products
+        out = np.empty((weights.shape[0], self.dim, self.dim), dtype=complex)
+        out.real, out.imag = re_im.reshape((2,) + out.shape)
+        return out
 
     def advance(self, weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """psi through each step as ``V (exp(-i lambda) (V* psi))``."""
@@ -901,15 +869,18 @@ def build_step_polynomial(
     """Step generator on ``[t0, t1]`` (in time units) as a matrix polynomial.
 
     The envelopes are fitted quadratically on ``[t0/tau, t1/tau]`` and
-    combined with the cached driver and Ising operators; the result is the
-    generator ``-i tau ds H(u)`` in the unit step variable ``u``.
+    weigh the driver, Ising and offset operators; the result is the
+    generator ``-i tau ds H(u)`` in the unit step variable ``u``.  Its three
+    complex coefficients are the only ``2**n x 2**n`` arrays made; where
+    they would not fit in memory, :class:`SizeError` is raised.
     """
     if not 0.0 <= t0 < t1 <= tau:
         raise ValueError(f"need 0 <= t0 < t1 <= tau, got t0={t0}, t1={t1}, tau={tau}")
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
     c = _fit_steps(bases, schedule, np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)
-    return MatrixPolynomial(list(_combine(c[0], bases.dense())))
+    with _dense_gate(model.n_qubits, "a step polynomial", 3, 16):
+        return MatrixPolynomial(list(bases.dense(c[0])))
 
 
 def simulate_fixed(
@@ -1116,7 +1087,7 @@ def simulate_reference_rk(
     dim, count, chunk = bases.dim, bases.count, 1 << 12  # chunk: steps per envelope evaluation
     # the base stack, B_b x for every base, the stage vectors and a chunk of envelopes
     _preflight(8 * (count * dim * (dim + 2) + 16 * dim + (2 * chunk + 1) * count),
-               model.n_qubits, count, 4)
+               f"{model.n_qubits} qubits at order 4 with {count} base operators")
     # RK4's Butcher tableau in sixths, times -i, on the rows (psi, w_1, .., w_4) with
     # w_k = tau h H x_k: row k - 1 forms stage k's x_k, the last row the next psi
     tableau = np.hstack([np.ones((5, 1)), (-1j / 6) * np.array(

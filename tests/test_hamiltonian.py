@@ -287,6 +287,41 @@ class TestBaseOperators:
         sector.apply_sum(block, summed)
         assert np.abs(summed - sum(base @ row for base, row in zip(expected, block))).max() <= 1e-13
 
+    @pytest.mark.parametrize("space", [None, 1, -1])
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", qa.builtin_schedule_names())
+    def test_weighted_fill_matches_contracted_stack(self, name, sign, with_offsets, space):
+        # the full space takes fields and both offsets; a flip sector only
+        # couplings and X offsets, which keep the symmetry
+        from annealsim.hamiltonian import _BaseOperators
+        from annealsim.magnus import _fit_steps
+
+        n = 4
+        rng = np.random.default_rng(sum(map(ord, name)) + 2 * (sign > 0) + 4 * with_offsets)
+        terms = {p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)}
+        if space is None:
+            terms.update({(i,): float(rng.normal()) for i in range(1, n + 1)})
+        offsets = (qa.FieldOffsets.from_vectors(
+            x=rng.normal(size=n), z=rng.normal(size=n) if space is None else None, n_qubits=n)
+            if with_offsets else None)
+        schedule = qa.builtin_schedule(name, driver_sign=sign)
+        bases = _BaseOperators(n, sign, qa.ising_diagonal(qa.IsingModel.from_terms(terms)),
+                               offsets)
+        if space is not None:
+            bases = bases.flip_sector(space)
+        stack = bases.dense()
+        real = bases.envelopes(schedule, np.linspace(0.0, 1.0, 9))
+        np.testing.assert_array_max_ulp(bases.dense(real),
+                                        np.tensordot(real, stack, axes=1), maxulp=1)
+        # the coefficients of two step polynomials
+        c = _fit_steps(bases, schedule, np.array([0.0, 0.6]), np.array([0.25, 0.4]), 3.0)
+        for weights in c:
+            expected = np.tensordot(weights, stack, axes=1)
+            filled = bases.dense(weights)
+            assert filled.dtype == complex
+            assert np.abs(filled - expected).max() <= 1e-15 * np.abs(expected).max()
+
     def test_fields_and_z_offsets_break_the_symmetry(self):
         from annealsim.hamiltonian import _BaseOperators
 
@@ -338,6 +373,27 @@ class TestEigenspectrum:
         assert spec.levels[0][:3] == pytest.approx(
             [-4.70281473584625, -4.186786138652133, -4.038089005638407], abs=1e-9
         )
+
+    @pytest.mark.parametrize("build", ["eigenspectrum", "hamiltonian_at"])
+    def test_holds_only_its_result(self, circular, build):
+        import tracemalloc
+
+        # 9 qubits with offsets: one 512 x 512 plane is 2 MiB, the base stack
+        # and a copy of it would be three more
+        n = 9
+        model = qa.IsingModel.from_terms({(i, i + 1): 1.0 for i in range(1, n)}, n_qubits=n)
+        offsets = qa.FieldOffsets.from_vectors(x=[0.1] * n, z=[0.2] * n)
+        run = {
+            "eigenspectrum": lambda: qa.eigenspectrum(model, circular, [0.5], offsets),
+            "hamiltonian_at": lambda: qa.hamiltonian_at(model, circular, 0.5, offsets),
+        }[build]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 4**n
 
     def test_grid_validation(self, five_spin, circular):
         with pytest.raises(ValueError):

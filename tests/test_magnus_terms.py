@@ -333,12 +333,12 @@ class TestMemoryPreflight:
     def test_oversized_engine_raises_before_allocating(self, circular, monkeypatch):
         import time
 
-        import annealsim.magnus as magnus_mod
+        import annealsim.hamiltonian as hamiltonian_mod
 
         # the Krylov path's buffers take 2.9 GiB here, its widest trie level
         # 3**7 * 2**16 * 16 bytes; pin the limit below that so the outcome
         # does not depend on the machine
-        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 2 << 30)
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 2 << 30)
         chain = {(i, i + 1): 1.0 for i in range(1, 16)}
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 16, z=[0.1] * 16, n_qubits=16)
         start = time.perf_counter()
@@ -378,13 +378,40 @@ class TestMemoryPreflight:
             run(qa.coupled_pair_model(), 1.0, circular, n_steps=4)
 
 
+    @pytest.mark.parametrize("build", [
+        lambda chain, schedule: qa.hamiltonian_at(chain, schedule, 0.5),
+        lambda chain, schedule: qa.eigenspectrum(chain, schedule, [0.0, 0.5, 1.0]),
+        lambda chain, schedule: qa.transverse_matrix(chain.n_qubits),
+        lambda chain, schedule: qa.build_step_polynomial(chain, schedule, None, 1.0, 0.0, 0.5),
+    ], ids=["hamiltonian_at", "eigenspectrum", "transverse_matrix", "build_step_polynomial"])
+    def test_dense_builds_are_sized(self, circular, monkeypatch, build):
+        import annealsim.hamiltonian as hamiltonian_mod
+        from annealsim.hamiltonian import _BaseOperators
+
+        # 8 qubits: a 512 KiB plane against a 64 KiB limit, refused before
+        # any plane is built
+        chain = qa.IsingModel.from_terms({(i, i + 1): 1.0 for i in range(1, 8)})
+        with monkeypatch.context() as patch:
+            patch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 16)
+            patch.setattr(_BaseOperators, "dense",
+                          lambda self, weights=None: pytest.fail("allocated"))
+            with pytest.raises(qa.SizeError, match="8 qubits in .* need"):
+                build(chain, circular)
+
+        def fail(self, weights=None):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(_BaseOperators, "dense", fail)
+        with pytest.raises(qa.SizeError, match="out of memory at 8 qubits"):
+            build(chain, circular)
+
     def test_short_run_is_sized_by_its_steps(self, circular, monkeypatch):
-        import annealsim.magnus as magnus_mod
+        import annealsim.hamiltonian as hamiltonian_mod
 
         # 6 qubits at order 8 with offsets: a 322 MB product cache and, for 2
         # steps, a working set under 1 MB; the estimate charges a run for the
         # steps it takes, up to one chunk
-        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 500 * 10**6)
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 500 * 10**6)
         chain = {(i, i + 1): 1.0 for i in range(1, 6)}
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 6, z=[0.1] * 6, n_qubits=6)
         result = qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2, offsets=offsets)
@@ -399,9 +426,10 @@ class TestMemoryPreflight:
     # a chain propagates in its flip sector: 4 bits run dense, 7 bits Krylov
     @pytest.mark.parametrize("n_qubits", [5, 8])
     def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, n_qubits):
+        import annealsim.hamiltonian as hamiltonian_mod
         import annealsim.magnus as magnus_mod
 
-        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 1 << 16)
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 16)
         krylov_bytes, sized = magnus_mod._krylov_bytes, []
         monkeypatch.setattr(magnus_mod, "_krylov_bytes",
                             lambda *args: sized.append(args) or krylov_bytes(*args))
@@ -411,23 +439,23 @@ class TestMemoryPreflight:
         assert sized == ([(7, 2, 4)] if n_qubits == 8 else [])
 
     def test_rk_reference_refuses_what_exceeds_the_limit(self, circular, monkeypatch):
-        import annealsim.magnus as magnus_mod
+        import annealsim.hamiltonian as hamiltonian_mod
         from annealsim.hamiltonian import _BaseOperators
 
         # 8 qubits: a 1 MB real base stack against a 64 KiB limit, refused
         # before the stack is built
-        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 1 << 16)
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 16)
         monkeypatch.setattr(_BaseOperators, "dense", lambda self: pytest.fail("allocated"))
         chain = {(i, i + 1): 1.0 for i in range(1, 8)}
         with pytest.raises(qa.SizeError, match="8 qubits at order 4 with 2 base"):
             qa.simulate_reference_rk(chain, 1.0, circular, n_steps=1)
 
     def test_sector_run_is_sized_on_its_sector(self, circular, monkeypatch):
-        import annealsim.magnus as magnus_mod
+        import annealsim.hamiltonian as hamiltonian_mod
 
         # a 6-qubit chain at order 8: a 16.7 MB product cache on the full
         # space, 4.2 MB on its flip sector of 5 bits
-        monkeypatch.setattr(magnus_mod, "_memory_limit", lambda: 8 * 10**6)
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 8 * 10**6)
         chain = {(i, i + 1): 1.0 for i in range(1, 6)}
         result = qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2)
         assert result.metadata["flip_sector"] == 1
@@ -447,21 +475,21 @@ class TestMemoryPreflight:
         assert _krylov_bytes(9, 3, 1) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 3)
 
     def test_limit_is_the_least_of_memory_rlimit_and_cgroup(self, monkeypatch, tmp_path):
-        import annealsim.magnus as magnus_mod
+        import annealsim.hamiltonian as hamiltonian_mod
 
         resource = pytest.importorskip("resource")
         cgroup = tmp_path / "memory.max"
-        monkeypatch.setattr(magnus_mod, "_CGROUP_MEMORY_MAX", cgroup)
-        monkeypatch.setattr(magnus_mod, "_PHYSICAL_MEMORY", 8 << 30)
+        monkeypatch.setattr(hamiltonian_mod, "_CGROUP_MEMORY_MAX", cgroup)
+        monkeypatch.setattr(hamiltonian_mod, "_PHYSICAL_MEMORY", 8 << 30)
         monkeypatch.setattr(resource, "getrlimit",
                             lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
-        assert magnus_mod._memory_limit() == 8 << 30  # no cgroup file, no rlimit
+        assert hamiltonian_mod._memory_limit() == 8 << 30  # no cgroup file, no rlimit
         cgroup.write_text("max\n")
-        assert magnus_mod._memory_limit() == 8 << 30
+        assert hamiltonian_mod._memory_limit() == 8 << 30
         cgroup.write_text("3221225472\n")
-        assert magnus_mod._memory_limit() == 3 << 30
+        assert hamiltonian_mod._memory_limit() == 3 << 30
         monkeypatch.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
-        assert magnus_mod._memory_limit() == 1 << 30
+        assert hamiltonian_mod._memory_limit() == 1 << 30
 
 
 class TestErrorMetrics:
