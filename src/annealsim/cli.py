@@ -189,7 +189,6 @@ def _cmd_sweep(args) -> int:
     model, schedule, offsets, config = _load_run(args)
     points = simulate_sweep(model, _parse_times(args.times), schedule, config, offsets,
                             jobs=args.jobs)
-    points.sort(key=lambda p: p.tau)
 
     failures = [p for p in points if p.result is None]
     for point in failures:

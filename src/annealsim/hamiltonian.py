@@ -12,6 +12,10 @@ sector of the global spin flip.  Every ``H(s)``, every step generator of
 :mod:`annealsim.magnus` and every matrix-free product of its Krylov path is
 formed from it, and it decides the space a run propagates on, the start
 state there and the lift of the final state back to ``2**n`` amplitudes.
+
+Every allocation here and in :mod:`annealsim.magnus` that grows with the
+input runs inside :func:`_memory_gate`, which sizes it first and raises
+:class:`SizeError` where it would not fit, or where it fails anyway.
 """
 
 from __future__ import annotations
@@ -66,23 +70,16 @@ def _memory_limit() -> float:
     return min(limits)
 
 
-def _preflight(need: int, subject: str) -> None:
-    """SizeError where ``need`` bytes exceed what this process may use;
-    ``subject`` names the qubit count and what is sized."""
+@contextmanager
+def _memory_gate(need: int, subject: str):
+    """Refuse a block that needs ``need`` bytes, more than this process may
+    use, before it runs, and turn an allocation failure in it into
+    SizeError; ``subject`` names the qubit count and what is sized."""
     limit = _memory_limit()
     if need > limit:
         raise SizeError(
             f"{subject} need {need} bytes, more than the {limit} bytes this process may use"
         )
-
-
-@contextmanager
-def _dense_gate(n_qubits: int, what: str, planes: int, itemsize: int = 8):
-    """Refuse ``planes`` dense ``2**n x 2**n`` arrays of ``itemsize`` bytes
-    an element that would not fit in memory, before the block allocates
-    them, and turn an allocation failure in the block into SizeError."""
-    subject = f"{n_qubits} qubits in {what}"
-    _preflight((planes * itemsize) << (2 * n_qubits), subject)
     try:
         yield
     except MemoryError as exc:
@@ -214,7 +211,7 @@ def transverse_matrix(n_qubits: int) -> np.ndarray:
     """Sum of Pauli-X operators over all qubits as a dense symmetric matrix."""
     _validate_qubit_count(n_qubits)
     n = int(n_qubits)
-    with _dense_gate(n, "the transverse field", 1):
+    with _memory_gate(8 << 2 * n, f"{n} qubits in the transverse field"):
         return _BaseOperators(n, 1, np.zeros(1 << n), None).dense(np.array([[1.0, 0.0]]))[0]
 
 
@@ -427,7 +424,7 @@ def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = Non
         raise ValueError(f"s must lie in [0, 1], got {s}")
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
-    with _dense_gate(model.n_qubits, "H(s)", 1):
+    with _memory_gate(8 << 2 * model.n_qubits, f"{model.n_qubits} qubits in H(s)"):
         return bases.dense(bases.envelopes(schedule, np.array([float(s)])))[0]
 
 
@@ -441,9 +438,9 @@ def eigenspectrum(
 
     ``H(s)`` is built for a chunk of grid points at a time, up to 32 MiB of
     them, and each matrix of the chunk is diagonalized; no other
-    ``2**n x 2**n`` array is held.  Where a chunk and the copy that the
-    eigensolver makes of one matrix would not fit in memory,
-    :class:`SizeError` is raised.
+    ``2**n x 2**n`` array is held.  Where the levels, a chunk and the copy
+    that the eigensolver makes of one matrix would not fit in memory,
+    :class:`SizeError` is raised before any of them is allocated.
     """
     model, offsets = _prepare(model, offsets)
     grid = np.asarray(s_grid, dtype=float)
@@ -453,9 +450,10 @@ def eigenspectrum(
         raise ValueError("s_grid values must be finite and lie in [0, 1]")
 
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
-    levels = np.empty((grid.size, bases.dim))
     chunk = min(grid.size, max(1, (1 << 22) // (bases.dim * bases.dim)))
-    with _dense_gate(model.n_qubits, "a spectrum", chunk + 1):
+    need = 8 * bases.dim * ((chunk + 1) * bases.dim + grid.size)
+    with _memory_gate(need, f"{model.n_qubits} qubits in a spectrum"):
+        levels = np.empty((grid.size, bases.dim))
         for lo in range(0, grid.size, chunk):
             stack = bases.dense(bases.envelopes(schedule, grid[lo : lo + chunk]))
             levels[lo : lo + chunk] = np.linalg.eigvalsh(stack)

@@ -46,7 +46,7 @@ def read_bqpjson(path) -> tuple[IsingModel, dict[int, int]]:
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise BqpjsonError(f"{path}: not valid JSON: {exc}") from exc
@@ -237,6 +237,7 @@ def _export_sweep(points, format, path, model, schedule, include_timestamp, kind
     if model is None:
         raise ValueError("model is required to export simulation results")
     model = IsingModel.from_terms(model)
+    points = sorted(points, key=lambda p: p.tau)
     # checked before the file is opened, so a failed export leaves none behind
     size = 1 << model.n_qubits
     for point in points:

@@ -44,12 +44,11 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, SizeError, SolverConfigError
+from .errors import ConvergenceError, NumericalError, SolverConfigError
 from .hamiltonian import (
     FieldOffsets,
     _BaseOperators,
-    _dense_gate,
-    _preflight,
+    _memory_gate,
     _prepare,
     ising_diagonal,
 )
@@ -648,7 +647,7 @@ class _Engine:
     operators (driver, Ising diagonal, optional offsets) with per-step
     scalar coefficients, so each series term is a weighted sum of products
     of base operators (:func:`_word_weights`).  An engine supplies how a
-    chunk of those weights advances the state, and its memory estimate.
+    chunk of those weights advances the state.
 
     ``bases`` is the run's space (:meth:`_BaseOperators.run_space`); it gives
     the start state and lifts the final state to the full space.
@@ -657,14 +656,11 @@ class _Engine:
     propagator = ""
     step_elements = 0
 
-    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule,
-                 order: int, steps: int = 1):
+    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule, order: int):
         self.bases = bases
         self.schedule = schedule
         self.order = order
         self.dim = bases.dim
-        _preflight(self.memory_bytes(steps),
-                   f"{bases.n_qubits} qubits at order {order} with {bases.count} base operators")
 
     def weights(self, starts: np.ndarray, widths: np.ndarray, tau: float) -> np.ndarray:
         """Word weights (steps, words) of the generators of a batch of steps."""
@@ -704,9 +700,8 @@ class _StepEngine(_Engine):
 
     propagator = "dense"
 
-    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule,
-                 order: int = 4, steps: int = 1):
-        super().__init__(bases, schedule, order, steps)
+    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule, order: int = 4):
+        super().__init__(bases, schedule, order)
         nb, dim = self.bases.count, self.dim
         self.step_elements = dim * dim
         # all base-word products of length 1..order, grouped by length; the
@@ -720,9 +715,6 @@ class _StepEngine(_Engine):
             np.matmul(products[lo:hi, None], bases[None],
                       out=products[hi : hi + (hi - lo) * nb].reshape(hi - lo, nb, dim, dim))
         self.products = products.reshape(-1, dim * dim)
-
-    def memory_bytes(self, steps: int) -> int:
-        return sum(_engine_bytes(self.bases.n_bits, self.bases.count, self.order, steps))
 
     def generators(self, weights: np.ndarray) -> np.ndarray:
         """Step generators (steps, dim, dim) from their complex word weights,
@@ -762,9 +754,8 @@ class _KrylovEngine(_Engine):
 
     propagator = "krylov"
 
-    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule,
-                 order: int = 4, steps: int = 1):
-        super().__init__(bases, schedule, order, steps)
+    def __init__(self, bases: _BaseOperators, schedule: AnnealingSchedule, order: int = 4):
+        super().__init__(bases, schedule, order)
         nb = self.bases.count
         # trie level j lives in buffer (order - 1 - j) % 2
         self._levels = tuple(np.empty((rows, self.dim), dtype=complex)
@@ -773,9 +764,6 @@ class _KrylovEngine(_Engine):
         self._basis = np.empty((_KRYLOV_MAX_DIM + 1, self.dim), dtype=complex)
         self._w = np.empty(self.dim, dtype=complex)
         self.max_krylov_dim = 0
-
-    def memory_bytes(self, steps: int) -> int:
-        return _krylov_bytes(self.bases.n_bits, self.bases.count, self.order)
 
     def apply_omega(self, weights: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = sum over words w of weights[w] * B_w v, grouped by first letter."""
@@ -879,7 +867,7 @@ def build_step_polynomial(
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
     c = _fit_steps(bases, schedule, np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)
-    with _dense_gate(model.n_qubits, "a step polynomial", 3, 16):
+    with _memory_gate(48 << 2 * model.n_qubits, f"{model.n_qubits} qubits in a step polynomial"):
         return MatrixPolynomial(list(bases.dense(c[0])))
 
 
@@ -919,18 +907,27 @@ def simulate_fixed(
     ``order`` is the number of series terms kept: one term converges at
     order 2 in the step width, two or more at order 4, capped there by the
     quadratic envelope fit.
+
+    The step grid and the engine are sized before either is allocated, and a
+    run they would not fit in the memory this process may use raises
+    :class:`SizeError`, as does an allocation that fails anyway.
     """
     _check_fixed(tau, n_steps, order)
     model, offsets = _prepare(model, offsets)
-    starts, widths = _step_grid(n_steps, schedule.kinks, _level)
-    try:
-        bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model),
-                               offsets).run_space()
-        kind = _KrylovEngine if bases.n_bits >= _KRYLOV_MIN_BITS else _StepEngine
-        engine = kind(bases, schedule, order, starts.size)
+    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model),
+                           offsets).run_space()
+    # at most one step more per segment than n_steps; building the step grid
+    # peaks at 32 bytes a step (tracemalloc)
+    steps = (n_steps + len(schedule.kinks) + 1) << _level
+    if bases.n_bits >= _KRYLOV_MIN_BITS:
+        kind, need = _KrylovEngine, _krylov_bytes(bases.n_bits, bases.count, order)
+    else:
+        kind, need = _StepEngine, sum(_engine_bytes(bases.n_bits, bases.count, order, steps))
+    subject = f"{model.n_qubits} qubits at order {order} with {bases.count} base operators"
+    with _memory_gate(need + 32 * steps, subject):
+        starts, widths = _step_grid(n_steps, schedule.kinks, _level)
+        engine = kind(bases, schedule, order)
         psi = engine.propagate(starts, widths, tau)
-    except MemoryError as exc:
-        raise SizeError(f"out of memory at {model.n_qubits} qubits and order {order}") from exc
     if not np.isfinite(psi).all():
         raise NumericalError("non-finite final state")
     return SimulationResult(
@@ -1085,14 +1082,13 @@ def simulate_reference_rk(
     model, offsets = _prepare(model, offsets)
     bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
     dim, count, chunk = bases.dim, bases.count, 1 << 12  # chunk: steps per envelope evaluation
-    # the base stack, B_b x for every base, the stage vectors and a chunk of envelopes
-    _preflight(8 * (count * dim * (dim + 2) + 16 * dim + (2 * chunk + 1) * count),
-               f"{model.n_qubits} qubits at order 4 with {count} base operators")
     # RK4's Butcher tableau in sixths, times -i, on the rows (psi, w_1, .., w_4) with
     # w_k = tau h H x_k: row k - 1 forms stage k's x_k, the last row the next psi
     tableau = np.hstack([np.ones((5, 1)), (-1j / 6) * np.array(
         [[0, 0, 0, 0], [3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 6, 0], [1, 2, 2, 1]])])
-    try:
+    # the base stack, B_b x for every base, the stage vectors and a chunk of envelopes
+    with _memory_gate(8 * (count * dim * (dim + 2) + 16 * dim + (2 * chunk + 1) * count),
+                      f"{model.n_qubits} qubits at order 4 with {count} base operators"):
         operators = bases.dense().reshape(count * dim, dim)
         rows = np.vstack([bases.start_state(), np.zeros((4, dim))])
         x = np.empty(dim, dtype=complex)
@@ -1112,8 +1108,6 @@ def simulate_reference_rk(
                 rows[0] = np.dot(tableau[4], rows)
             if not np.isfinite(rows[0]).all():
                 raise NumericalError(f"non-finite state near step index {lo + n - 1}")
-    except MemoryError as exc:
-        raise SizeError(f"out of memory at {model.n_qubits} qubits in the RK4 reference") from exc
     norm2 = float(np.vdot(rows[0], rows[0]).real)
     psi = rows[0] / math.sqrt(norm2)
     return SimulationResult(

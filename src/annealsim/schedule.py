@@ -141,7 +141,7 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
     """
     path = Path(path)
     rows: list[tuple[float, float, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["s", "a", "b"]:

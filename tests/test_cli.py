@@ -266,6 +266,31 @@ class TestSpectrum:
         assert reported == pytest.approx(expected, abs=1e-9)
 
 
+class TestOversizedRuns:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "1,2=-1", "--schedule", "linear", "--time", "1",
+         "--steps", "2000000000"],
+        ["spectrum", "--model", ";".join(f"{i},{i + 1}=-1" for i in range(1, 10)),
+         "--schedule", "linear", "--grid", "2000000"],
+    ], ids=["simulate", "spectrum"])
+    def test_refused_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        import time
+
+        import annealsim.hamiltonian as hamiltonian_mod
+
+        # 64 GB of step grid and 16 GB of levels; the limit is pinned, so
+        # that no machine starts either run
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 4 << 30)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error[args]: ")
+        assert "need" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestMisc:
     def test_schedules_listing(self, capsys):
         assert main(["schedules"]) == 0

@@ -36,6 +36,12 @@ class TestReadBqpjson:
         assert model.terms == {(1,): 1.0, (1, 2): -1.0}
         assert model.n_qubits == 2
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain = write_json(tmp_path, spin_problem())
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert qa.read_bqpjson(marked) == qa.read_bqpjson(plain)
+
     def test_empty_terms_are_valid(self, tmp_path):
         path = write_json(
             tmp_path, spin_problem(linear_terms=[], quadratic_terms=[])
@@ -191,6 +197,21 @@ class TestExportResult:
         for tau, rows in by_tau.items():
             assert [r[0] for r in rows] == [0, 1, 2, 3]
             assert sum(r[1] for r in rows) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_sweep_rows_ordered_by_time(self, tmp_path, circular, format):
+        model = qa.coupled_pair_model()
+        points = qa.simulate_sweep(model, [2.0, 0.5], circular, qa.SolverConfig(n_steps=16))
+        path = tmp_path / f"sweep.{format}"
+        qa.export_result(points, format, path, model=model, schedule=circular,
+                         include_timestamp=False)
+        text = path.read_text(encoding="utf-8")
+        if format == "csv":
+            taus = [line.split(",")[0] for line in text.splitlines()[1:]]
+            assert taus == ["0.5"] * 4 + ["2.0"] * 4
+        else:
+            assert [p["tau"] for p in json.loads(text)["points"]] == [0.5, 2.0]
+        assert [p.tau for p in points] == [2.0, 0.5]
 
     def test_simulation_json_contents(self, tmp_path, circular):
         model = qa.coupled_pair_model()

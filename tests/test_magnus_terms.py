@@ -405,6 +405,54 @@ class TestMemoryPreflight:
         with pytest.raises(qa.SizeError, match="out of memory at 8 qubits"):
             build(chain, circular)
 
+    def test_step_grid_is_sized(self, circular, monkeypatch):
+        import time
+
+        import annealsim.hamiltonian as hamiltonian_mod
+
+        # 2e9 steps: 64 GB of step grid against a pinned 4 GiB limit
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 4 << 30)
+        start = time.perf_counter()
+        with pytest.raises(qa.SizeError, match="2 qubits at order 4 with 2 base operators need"):
+            qa.simulate_fixed({(1, 2): -1.0}, 1.0, circular, n_steps=2_000_000_000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_spectrum_levels_are_sized(self, circular, monkeypatch):
+        import annealsim.hamiltonian as hamiltonian_mod
+        from annealsim.hamiltonian import _BaseOperators
+
+        # 10 qubits at 10,000 points: 82 MB of levels against a 64 MiB limit,
+        # which a chunk of four planes and the eigensolver's copy, 42 MB, fit
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 64 << 20)
+        monkeypatch.setattr(_BaseOperators, "dense",
+                            lambda self, weights=None: pytest.fail("allocated"))
+        chain = {(i, i + 1): 1.0 for i in range(1, 10)}
+        with pytest.raises(qa.SizeError, match="10 qubits in a spectrum need"):
+            qa.eigenspectrum(chain, circular, np.linspace(0.0, 1.0, 10_000))
+
+    # a 3-qubit chain runs dense in its sector, an 8-qubit one by Krylov
+    @pytest.mark.parametrize("run", [
+        lambda schedule: qa.simulate_fixed({(1, 2): 1.0, (2, 3): -1.0}, 1.0, schedule,
+                                           n_steps=4),
+        lambda schedule: qa.simulate_fixed({(i, i + 1): 1.0 for i in range(1, 8)}, 1.0,
+                                           schedule, n_steps=4),
+        lambda schedule: qa.simulate_reference_rk({(1, 2): 1.0, (2,): 0.5}, 1.0, schedule,
+                                                  n_steps=4),
+        lambda schedule: qa.eigenspectrum({(1, 2): 1.0}, schedule, [0.0, 0.5, 1.0]),
+        lambda schedule: qa.hamiltonian_at({(1, 2): 1.0}, schedule, 0.5),
+        lambda schedule: qa.transverse_matrix(3),
+        lambda schedule: qa.build_step_polynomial({(1, 2): 1.0}, schedule, None, 1.0, 0.0, 0.5),
+    ], ids=["simulate_fixed", "simulate_fixed_krylov", "simulate_reference_rk",
+            "eigenspectrum", "hamiltonian_at", "transverse_matrix", "build_step_polynomial"])
+    def test_each_call_reads_the_limit_once(self, circular, monkeypatch, run):
+        import annealsim.hamiltonian as hamiltonian_mod
+
+        reads = []
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit",
+                            lambda: reads.append(None) or 1 << 30)
+        run(circular)
+        assert len(reads) == 1
+
     def test_short_run_is_sized_by_its_steps(self, circular, monkeypatch):
         import annealsim.hamiltonian as hamiltonian_mod
 

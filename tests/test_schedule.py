@@ -111,6 +111,15 @@ class TestCsvSchedules:
         err = np.abs(np.asarray(sched.A(probe)) - np.asarray(circular.A(probe))).max()
         assert err <= 2e-6
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        body = "s,a,b\n0,1,0\n0.5,0.8,0.1\n1,0,1\n"
+        plain = qa.load_schedule_csv(self.write(tmp_path, body))
+        marked = qa.load_schedule_csv(self.write(tmp_path, "\ufeff" + body, name="marked.csv"))
+        assert (marked.table, marked.kinks) == (plain.table, plain.kinks)
+        probe = np.linspace(0, 1, 17)
+        assert np.array_equal(marked.A(probe), plain.A(probe))
+        assert np.array_equal(marked.B(probe), plain.B(probe))
+
     def test_save_load_round_trip_exact_at_nodes(self, tmp_path, circular):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
