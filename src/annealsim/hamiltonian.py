@@ -7,11 +7,13 @@ as a length ``2**n`` vector.
 
 :class:`_BaseOperators` alone describes the fixed operators whose weighted
 sum is ``H(s)``: the driver, the Ising diagonal and the optional field
-offsets, each as bit flips plus a diagonal, on the full space or on one
-sector of the global spin flip.  Every ``H(s)``, every step generator of
-:mod:`annealsim.magnus` and every matrix-free product of its Krylov path is
-formed from it, and it decides the space a run propagates on, the start
-state there and the lift of the final state back to ``2**n`` amplitudes.
+offsets, each as bit flips or gathers plus a diagonal, on the full space or
+on the orbit space of the model's signed-permutation symmetries
+(:class:`_OrbitSpace`, found by :mod:`annealsim.symmetry`).  Every ``H(s)``,
+every step generator of :mod:`annealsim.magnus` and every matrix-free
+product of its Krylov path is formed from it, and it decides the space a run
+propagates on, the start state there and the lift of the final state back to
+``2**n`` amplitudes.
 
 Every allocation here and in :mod:`annealsim.magnus` that grows with the
 input runs inside :func:`_memory_gate`, which sizes it first and raises
@@ -26,7 +28,7 @@ import os
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -38,6 +40,7 @@ except ImportError:  # not on every platform
 import numpy as np
 
 from .errors import ModelError, SizeError
+from .symmetry import orbit_labels, signed_symmetries
 
 MAX_QUBITS = 16
 
@@ -212,7 +215,8 @@ def transverse_matrix(n_qubits: int) -> np.ndarray:
     _validate_qubit_count(n_qubits)
     n = int(n_qubits)
     with _memory_gate(8 << 2 * n, f"{n} qubits in the transverse field"):
-        return _BaseOperators(n, 1, np.zeros(1 << n), None).dense(np.array([[1.0, 0.0]]))[0]
+        bases = _BaseOperators(IsingModel.from_terms({}, n), 1, np.zeros(1 << n), None)
+        return bases.dense(np.array([[1.0, 0.0]]))[0]
 
 
 def ising_diagonal(model: IsingModel | Mapping) -> np.ndarray:
@@ -263,90 +267,179 @@ def _flip_index(mask: int) -> tuple:
                                for k in reversed(range(mask.bit_length())))
 
 
+def _term_flips(n: int, driver_sign: int,
+                offsets: FieldOffsets | None) -> list[list[tuple[int, float]]]:
+    """The flips ``(mask, w)`` of each base on the full space: the driver's,
+    none for the Ising part, and the X offsets' where there are offsets."""
+    flips = [[(1 << k, float(driver_sign)) for k in range(n)], []]
+    if offsets is not None:
+        flips.append([(1 << k, w) for k, w in enumerate(offsets.x) if w != 0.0])
+    return flips
+
+
+def _parities(states: np.ndarray, n: int) -> np.ndarray:
+    """1 where a basis state has an odd number of bits set, else 0."""
+    odd = np.zeros(states.shape, dtype=np.int64)
+    for k in range(n):
+        odd ^= (states >> k) & 1
+    return odd
+
+
+@dataclass(frozen=True, eq=False)
+class _OrbitSpace:
+    """The orbits of the basis states under a model's symmetry group ``G``.
+
+    Orbit ``r`` stands for ``(1 / sqrt|O_r|) sum_{v in O_r} c_v |v>``, with
+    ``c_v`` in ``phase``: 1 under all-plus, ``(-1)**(|v| + |reps[r]|)`` under
+    all-minus, so that every ``g = (pi, m)`` acts on it by the start state's
+    eigenvalue, 1 or ``(-1)**|m|``.  Since ``(-1)**|v|`` itself obeys that
+    rule, no orbit's phases conflict, and every orbit is kept.  Orbits are
+    ordered by their smallest member, ``reps[r]``.  ``flips`` holds the flips
+    of every base restricted to the orbits: a flip ``(mask, w)`` becomes the
+    gather ``out[r] += w_r psi[t_r]``, ``t_r`` the orbit of ``reps[r] ^ mask``
+    and ``w_r = w c sqrt(|O_r| / |O_t|)``, ``c`` the phase of that state; a
+    gather that is a flip of the orbit indices, as on a sector of the global
+    flip, stays a flip ``(mask, w)``.  ``parity`` is the start state's
+    eigenvalue of the global flip where ``G`` holds it, else None.
+    """
+
+    order: int
+    parity: int | None
+    reps: np.ndarray
+    orbit: np.ndarray
+    phase: np.ndarray
+    root_sizes: np.ndarray
+    flips: list
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.reps, self.orbit, self.phase, self.root_sizes]
+        arrays += [a for term in self.flips for flip in term for a in flip
+                   if isinstance(a, np.ndarray)]
+        return sum(a.nbytes for a in arrays)
+
+
+@lru_cache(maxsize=16)
+def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
+                 driver_sign: int) -> _OrbitSpace | None:
+    """The orbit space of a model's symmetry group, or None where the group
+    is trivial; ``terms`` are the model's items.  Cached per model, offsets
+    and driver sign, so a sweep detects its model's symmetries once."""
+    J, h = np.zeros((n, n)), np.zeros(n)
+    for key, coeff in terms:
+        if len(key) == 1:
+            h[key[0] - 1] = coeff
+        else:
+            J[key[0] - 1, key[1] - 1] = J[key[1] - 1, key[0] - 1] = coeff
+    x, z = ((np.array(offsets.x), np.array(offsets.z)) if offsets is not None
+            else (np.zeros(n), np.zeros(n)))
+    generators, order = signed_symmetries(J, h, x, z)
+    if order == 1:
+        return None
+    labels = orbit_labels(n, generators)
+    reps, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    phase = (1.0 - 2.0 * (_parities(np.arange(1 << n), n) ^ _parities(labels, n))
+             if driver_sign == 1 else np.ones(1 << n))
+    root_sizes = np.sqrt(sizes)
+    dim = reps.size
+    index = np.arange(dim)
+
+    def restrict(mask: int, w: float):
+        targets = reps ^ mask
+        table = orbit[targets]
+        weights = w * phase[targets] * (root_sizes / root_sizes[table])
+        if dim & (dim - 1) == 0 and np.array_equal(table, index ^ table[0]) and (
+                weights == weights[0]).all():
+            return int(table[0]), float(weights[0])
+        table.setflags(write=False)
+        weights.setflags(write=False)
+        return table, weights
+
+    flips = [[restrict(mask, w) for mask, w in term]
+             for term in _term_flips(n, driver_sign, offsets)]
+    parity = None if h.any() or z.any() else 1 if driver_sign == -1 else (-1) ** n
+    space = _OrbitSpace(order, parity, reps, orbit, phase, root_sizes, flips)
+    for a in (reps, orbit, phase, root_sizes):
+        a.setflags(write=False)
+    return space
+
+
 class _BaseOperators:
     """The fixed real operators whose weighted sum is ``H(s)``.
 
     They are the driver ``sign * sum_k X_k``, the Ising part ``diag(E)`` and,
     when an offset is nonzero, the constant field ``sum_k x_k X_k + z_k Z_k``,
     weighted by ``A(s)``, ``B(s)`` and 1.  Each is held as a list of flips
-    ``(mask, w)``, meaning ``w`` times the operator that flips every bit set
-    in ``mask``, plus a diagonal or None.  Their weighted sums are formed
-    dense (:meth:`dense`), or they are applied to vectors: each base to a
-    block (:meth:`apply`), or each to its own vector, summed (:meth:`apply_sum`).
+    plus a diagonal or None.  A flip is ``(mask, w)``, ``w`` times the
+    operator that flips every bit set in ``mask``, or a gather
+    ``(table, weights)``, the operator ``psi -> weights * psi[table]``.
+    Their weighted sums are formed dense (:meth:`dense`), or they are applied
+    to vectors: each base to a block (:meth:`apply`), or each to its own
+    vector, summed (:meth:`apply_sum`).
 
-    Where every diagonal reads the same backwards, so that no field and no Z
-    offset breaks the symmetry, every base commutes with the global spin flip
-    ``F = prod_k X_k``; :meth:`flip_sector` then describes the same bases on
-    one eigenspace of ``F``, on ``n_bits = n_qubits - 1`` bits, and
-    ``parity`` is its eigenvalue (None on the full space).
+    ``model`` gives the terms the symmetries are found from
+    (:mod:`annealsim.symmetry`); ``diagonal`` is its Ising diagonal.  On the
+    full space ``space`` is None; :meth:`run_space` gives the same bases on
+    the orbit space (:class:`_OrbitSpace`) of the model's symmetry group that
+    holds the start state, where the group is not trivial.
     """
 
-    def __init__(self, n_qubits: int, driver_sign: int, diagonal: np.ndarray,
+    def __init__(self, model: IsingModel, driver_sign: int, diagonal: np.ndarray,
                  offsets: FieldOffsets | None):
-        self.n_qubits = n_qubits
+        self.model = model
+        self.n_qubits = n = model.n_qubits
         self.driver_sign = driver_sign
-        self.parity: int | None = None
-        self.n_bits = n_qubits
-        self.dim = 1 << n_qubits
-        self.terms: list[tuple[list[tuple[int, float]], np.ndarray | None]] = [
-            ([(1 << k, float(driver_sign)) for k in range(n_qubits)], None),
-            ([], diagonal),
-        ]
-        if offsets is not None and offsets.any_nonzero():
-            self.terms.append(([(1 << k, w) for k, w in enumerate(offsets.x) if w != 0.0],
-                               _spin_table(n_qubits) @ np.asarray(offsets.z)))
+        self.offsets = offsets if offsets is not None and offsets.any_nonzero() else None
+        self.space: _OrbitSpace | None = None
+        self.dim = 1 << n
+        diagonals = [None, diagonal]
+        if self.offsets is not None:
+            diagonals.append(_spin_table(n) @ np.asarray(offsets.z))
+        self.terms: list[tuple[list, np.ndarray | None]] = list(
+            zip(_term_flips(n, driver_sign, self.offsets), diagonals))
         self.count = len(self.terms)
 
-    def flip_symmetric(self) -> bool:
-        """Whether every base commutes with ``F``, as it does when every
-        diagonal reads the same backwards; one bit has no sector to reduce to."""
-        return self.n_bits >= 2 and all(
-            diagonal is None or np.array_equal(diagonal, diagonal[::-1])
-            for _, diagonal in self.terms)
+    @property
+    def parity(self) -> int | None:
+        """The start state's eigenvalue of the global spin flip, where the
+        space is an orbit space of a group that holds it, else None."""
+        return None if self.space is None else self.space.parity
 
-    def flip_sector(self, parity: int) -> "_BaseOperators":
-        """The bases on the eigenspace ``F = parity`` of a flip-symmetric set.
-
-        Basis state ``r < dim / 2`` stands for ``(|r> + parity |~r>) / sqrt(2)``.
-        A diagonal keeps its first half.  A flip of any lower bit stays one;
-        a flip of the top bit lands on ``~(r ^ rest)``, so it becomes
-        ``parity`` times the flip of all ``n_bits - 1`` remaining bits.
-        """
-        sector = copy.copy(self)
-        top = 1 << (self.n_bits - 1)
-        sector.parity = parity
-        sector.n_bits = self.n_bits - 1
-        sector.dim = top
-        sector.terms = [
-            ([(mask, w) if mask < top else (top - 1, parity * w) for mask, w in flips],
-             None if diagonal is None else diagonal[:top])
-            for flips, diagonal in self.terms
-        ]
-        return sector
+    @property
+    def symmetry_order(self) -> int:
+        return 1 if self.space is None else self.space.order
 
     def run_space(self) -> "_BaseOperators":
-        """The bases a run propagates on: the start state's sector where they
-        are flip-symmetric, else these.  All-plus has ``F = +1``, all-minus
-        ``F = (-1)**n``."""
-        if not self.flip_symmetric():
+        """The bases a run propagates on: these restricted to the orbit
+        space of the model's symmetry group, or these where it is trivial.
+        A diagonal takes each orbit's entry at its smallest member."""
+        space = _orbit_space(tuple(self.model.terms.items()), self.n_qubits, self.offsets,
+                             self.driver_sign)
+        if space is None:
             return self
-        return self.flip_sector(1 if self.driver_sign == -1 else (-1) ** self.n_qubits)
+        out = copy.copy(self)
+        out.space, out.dim = space, space.reps.size
+        out.terms = [(flips, None if diagonal is None else diagonal[space.reps])
+                     for flips, (_, diagonal) in zip(space.flips, self.terms)]
+        return out
 
     def start_state(self) -> np.ndarray:
         """The driver's ground state on this space: all-minus (the product of
-        the spins) under driver sign +1, else all-plus.  Sector state ``r``
-        holds ``1 / sqrt(2)`` of ``|r>``, so it takes ``sqrt(2)`` times the
-        amplitude of ``|r>``."""
-        spins = (_spin_table(self.n_bits).prod(axis=1) if self.driver_sign == 1
+        the spins) under driver sign +1, else all-plus.  Orbit state ``r``
+        holds ``1 / sqrt|O_r|`` of each member, so it takes ``sqrt|O_r|``
+        times the amplitude of its smallest member."""
+        states = np.arange(self.dim) if self.space is None else self.space.reps
+        spins = (1.0 - 2.0 * _parities(states, self.n_qubits) if self.driver_sign == 1
                  else np.ones(self.dim))
         psi = spins.astype(complex) / math.sqrt(1 << self.n_qubits)
-        return psi if self.parity is None else math.sqrt(2.0) * psi
+        return psi if self.space is None else psi * self.space.root_sizes
 
     def lift(self, psi: np.ndarray) -> np.ndarray:
         """A state on this space as its ``2**n_qubits`` amplitudes."""
-        if self.parity is None:
+        if self.space is None:
             return psi
-        return np.concatenate([psi, self.parity * psi[::-1]]) / math.sqrt(2.0)
+        orbit = self.space.orbit
+        return psi[orbit] * self.space.phase / self.space.root_sizes[orbit]
 
     def envelopes(self, schedule, s: np.ndarray) -> np.ndarray:
         """Weights ``(s.size, count)`` of the bases at every point of ``s``."""
@@ -357,21 +450,44 @@ class _BaseOperators:
 
     def dense(self, weights: np.ndarray | None = None) -> np.ndarray:
         """Planes ``sum_b weights[k, b] B_b`` (real or complex), by default
-        the bases themselves, each filled in place from the flips and diagonal
-        of every base of nonzero weight, so that no other dim x dim array is
-        made.  Flips of one mask add up: on two qubits both driver flips of a
-        sector flip its one bit."""
-        weights = np.eye(self.count) if weights is None else weights
+        the bases themselves, filled in place by one indexed add per flip and
+        diagonal over every plane where its base weighs, so that no other
+        dim x dim array is made.  Flips that meet in one entry add up: on two
+        qubits both driver flips of a flip sector flip its one bit.  On an
+        orbit space the gathers of a base, which meet often, are merged with
+        its diagonal into one add."""
+        stack = weights is None
+        weights = np.eye(self.count) if stack else weights
         out = np.zeros((len(weights), self.dim, self.dim), np.result_type(weights, float))
-        idx = np.arange(self.dim)
-        for plane, row in zip(out, weights):
-            for (flips, diagonal), c in zip(self.terms, row):
-                if c == 0:
-                    continue
+        flat = out.reshape(len(weights), -1)
+        rows = np.arange(self.dim)
+        for b, (flips, diagonal) in enumerate(self.terms):
+            planes = np.array([b]) if stack else np.flatnonzero(weights[:, b])
+            if planes.size == 1:  # through a view of the plane, the faster index
+                plane, c = flat[planes[0]], weights[planes[0], b]
+            else:
+                plane, c = None, weights[planes, b][:, None]
+
+            def add(index, values):
+                if plane is None:
+                    flat[planes[:, None], index] += c * values
+                else:
+                    plane[index] += c * values
+
+            if all(isinstance(target, int) for target, _ in flips):
                 for mask, w in flips:
-                    plane[idx, idx ^ mask] += c * w
+                    add(rows * self.dim + (rows ^ mask), w)
                 if diagonal is not None:
-                    plane[idx, idx] += c * diagonal
+                    add(rows * (self.dim + 1), diagonal)
+                continue
+            # gathers meet each other and the diagonal: merged, then one add
+            index = [rows * self.dim + table for table, _ in flips]
+            values = [weights for _, weights in flips]
+            if diagonal is not None:
+                index.append(rows * (self.dim + 1))
+                values.append(diagonal)
+            index, inverse = np.unique(np.concatenate(index), return_inverse=True)
+            add(index, np.bincount(inverse, np.concatenate(values)))
         return out
 
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
@@ -390,7 +506,7 @@ class _BaseOperators:
         vector or a block of them, shaped like ``out``.
 
         With the basis index split into one axis per bit, a flip reverses
-        the axes of the bits in its mask.
+        the axes of the bits in its mask; a gather indexes the last axis.
         """
         flips, diagonal = self.terms[a]
         if add:
@@ -400,11 +516,17 @@ class _BaseOperators:
             out[...] = 0.0
         else:
             np.multiply(src, diagonal, out=out)
-        shape = src.shape[:-1] + (2,) * self.n_bits
-        s, o = src.reshape(shape), out.reshape(shape)
-        for mask, w in flips:
-            flipped = s[_flip_index(mask)]
-            if w == 1.0:
+        if self.dim & (self.dim - 1) == 0:
+            shape = src.shape[:-1] + (2,) * (self.dim.bit_length() - 1)
+            bits, out_bits = src.reshape(shape), out.reshape(shape)
+        for target, w in flips:
+            if isinstance(target, int):
+                o, flipped = out_bits, bits[_flip_index(target)]
+            else:
+                o, flipped = out, src[..., target]
+            if isinstance(w, np.ndarray):
+                o += w * flipped
+            elif w == 1.0:
                 o += flipped
             elif w == -1.0:
                 o -= flipped
@@ -423,7 +545,7 @@ def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = Non
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
     model, offsets = _prepare(model, offsets)
-    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    bases = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model), offsets)
     with _memory_gate(8 << 2 * model.n_qubits, f"{model.n_qubits} qubits in H(s)"):
         return bases.dense(bases.envelopes(schedule, np.array([float(s)])))[0]
 
@@ -449,7 +571,7 @@ def eigenspectrum(
     if not (np.isfinite(grid).all() and grid.min() >= 0.0 and grid.max() <= 1.0):
         raise ValueError("s_grid values must be finite and lie in [0, 1]")
 
-    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    bases = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model), offsets)
     chunk = min(grid.size, max(1, (1 << 22) // (bases.dim * bases.dim)))
     need = 8 * bases.dim * ((chunk + 1) * bases.dim + grid.size)
     with _memory_gate(need, f"{model.n_qubits} qubits in a spectrum"):

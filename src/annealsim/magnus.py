@@ -18,14 +18,14 @@ cross-agreement of the paths on random inputs is the main correctness gate of
 the package, see the test suite.
 
 Each step generator weighs the base operators of
-:class:`annealsim.hamiltonian._BaseOperators` by the fitted envelopes; a
-model without fields or Z offsets runs on their restriction to one sector of
-the global spin flip, of half the dimension.  One loop propagates the state
-vector step by step (:meth:`_Engine.propagate`).  Below seven propagated
-bits each step applies ``exp(Omega) = V exp(-i Lambda) V*`` from the
+:class:`annealsim.hamiltonian._BaseOperators` by the fitted envelopes, on the
+orbit space of the model's signed-permutation symmetries that holds the start
+state (the full space where there are none).  One loop propagates the state
+vector step by step (:meth:`_Engine.propagate`).  Below a space of 128
+states each step applies ``exp(Omega) = V exp(-i Lambda) V*`` from the
 eigendecomposition of the Hermitian matrix ``i * Omega``, built from the
-dense bases; from seven bits on ``exp(Omega) psi`` is computed by Lanczos
-from the bases applied to vectors, without any ``dim x dim`` matrix.
+dense bases; from 128 on ``exp(Omega) psi`` is computed by Lanczos from the
+bases applied to vectors, without any ``dim x dim`` matrix.
 Dense steps are unitary to roundoff, so the state stays physical even at
 grossly insufficient step counts; the Krylov path refuses a step too wide for
 Lanczos to resolve, and :func:`simulate` skips that level.
@@ -531,10 +531,11 @@ _CHUNK_ELEMENTS = 1 << 21  # per-chunk working-set bound (matrix elements)
 # (measured with ru_maxrss: 2.0-2.3 at 3-8 qubits)
 _CHUNK_ARRAYS = 3
 
-# From this many propagated bits on (qubits, or qubits - 1 in a flip sector),
-# steps act on the state vector by Lanczos; below it the dense engine is
-# faster.  Adaptive order-4 runs on one core, dense against Krylov: 4-10x
-# faster on 6 bits, even on 7 (0.81 / 0.79 s), 4x slower on 8 (4.65 / 1.13 s).
+# From a space of 1 << _KRYLOV_MIN_BITS states on (2**n on the full space,
+# the orbit count on an orbit space), steps act on the state vector by
+# Lanczos; below it the dense engine is faster.  Adaptive order-4 runs on one
+# core, dense against Krylov: 4-10x faster at 64 states, even at 128 (0.81 /
+# 0.79 s), 4x slower at 256 (4.65 / 1.13 s).
 _KRYLOV_MIN_BITS = 7
 # Lanczos stops once its a-posteriori error estimate, relative to the norm of
 # the state, is below _KRYLOV_TOL.  A step that needs more than
@@ -597,10 +598,10 @@ def _chunk_steps(step_elements: int, order: int) -> int:
     return max(1, min(_CHUNK_ELEMENTS // max(step_elements, _word_count(3, order)), 1 << 16))
 
 
-def _engine_bytes(n_bits: int, n_bases: int, order: int, steps: int) -> tuple[int, int]:
+def _engine_bytes(dim: int, n_bases: int, order: int, steps: int) -> tuple[int, int]:
     """Bytes of the product cache (bases included) and of a run's largest
-    chunk, on a space of ``n_bits`` bits."""
-    dim2 = 1 << (2 * n_bits)
+    chunk, on a space of dimension ``dim``."""
+    dim2 = dim * dim
     cache = _word_count(n_bases, order) * dim2 * 8
     return cache, _CHUNK_ARRAYS * 16 * min(steps, _chunk_steps(dim2, order)) * dim2
 
@@ -611,12 +612,12 @@ def _trie_rows(n_bases: int, order: int) -> tuple[int, int]:
     return tuple(n_bases**j if j >= 1 else 0 for j in (order - 1, order - 2))
 
 
-def _krylov_bytes(n_bits: int, n_bases: int, order: int) -> int:
-    """Bytes of the Krylov path on ``n_bits`` bits: the Lanczos basis, two
-    work vectors, one vector per base for the first-letter sums ``u_a`` and
-    the two trie buffers."""
+def _krylov_bytes(dim: int, n_bases: int, order: int) -> int:
+    """Bytes of the Krylov path on a space of dimension ``dim``: the Lanczos
+    basis, two work vectors, one vector per base for the first-letter sums
+    ``u_a`` and the two trie buffers."""
     vectors = _KRYLOV_MAX_DIM + 3 + n_bases + sum(_trie_rows(n_bases, order))
-    return 16 * vectors * (1 << n_bits)
+    return 16 * vectors * dim
 
 
 def _word_weights(c: np.ndarray, order: int) -> np.ndarray:
@@ -682,7 +683,9 @@ class _Engine:
         return self.bases.lift(psi)
 
     def diagnostics(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"propagator": self.propagator}
+        out: dict[str, Any] = {"propagator": self.propagator,
+                               "symmetry_order": self.bases.symmetry_order,
+                               "space_dim": self.dim}
         if self.bases.parity is not None:
             out["flip_sector"] = self.bases.parity
         return out
@@ -694,8 +697,8 @@ class _StepEngine(_Engine):
     Products of up to ``order`` base operators are cached, which turns a
     whole chunk of steps into one matrix product plus one batched
     eigendecomposition; each step then acts on the state vector, and no
-    product of step unitaries is formed.  Used below ``_KRYLOV_MIN_BITS``
-    propagated bits and as the reference for the Krylov path.
+    product of step unitaries is formed.  Used on spaces of fewer than
+    ``1 << _KRYLOV_MIN_BITS`` states and as the reference for the Krylov path.
     """
 
     propagator = "dense"
@@ -865,7 +868,7 @@ def build_step_polynomial(
     if not 0.0 <= t0 < t1 <= tau:
         raise ValueError(f"need 0 <= t0 < t1 <= tau, got t0={t0}, t1={t1}, tau={tau}")
     model, offsets = _prepare(model, offsets)
-    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    bases = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model), offsets)
     c = _fit_steps(bases, schedule, np.array([t0 / tau]), np.array([(t1 - t0) / tau]), tau)
     with _memory_gate(48 << 2 * model.n_qubits, f"{model.n_qubits} qubits in a step polynomial"):
         return MatrixPolynomial(list(bases.dense(c[0])))
@@ -893,38 +896,46 @@ def simulate_fixed(
     exactly ``n_steps`` uniform ones.  ``_level`` halves every step that
     many times; it is the doubling level of :func:`simulate`.
 
-    A model of two qubits or more with no fields and no nonzero Z offset
-    commutes with the global spin flip ``prod_k X_k``, and both start states
-    are eigenstates of it, so such a run stays in one sector of half the
-    dimension.  It then propagates on that sector, on ``n - 1`` bits, and
-    lifts the final state back to the full space; ``metadata["flip_sector"]``
-    gives the sector's eigenvalue, +1 or -1, and is absent from a full-space
-    run.  The path is chosen by the bits propagated: below seven the step
-    unitaries are dense; from seven on each step acts on the vector by
-    Lanczos, and a step that needs more than 64 Lanczos vectors raises
+    The run propagates on the orbit space of the model's symmetry group:
+    the signed permutations of the qubits (a permutation, then X flips) that
+    leave the couplings, fields and offsets unchanged, found once per model
+    (:mod:`annealsim.symmetry`).  Both start states are eigenstates of every
+    such symmetry, so the run never leaves the span of one state per orbit;
+    the final state is lifted back to the full space.
+    ``metadata["symmetry_order"]`` is the group's order (1 on the full space)
+    and ``metadata["space_dim"]`` the dimension propagated.  Where the group
+    holds the global spin flip ``prod_k X_k``, as it does for a model with
+    no field and no nonzero Z offset, ``metadata["flip_sector"]`` gives the
+    start state's eigenvalue of it, +1 or -1; it is absent otherwise.  The
+    path is chosen by the dimension propagated: below 128 the step unitaries
+    are dense; from 128 on each step acts on the vector by Lanczos, and a
+    step that needs more than 64 Lanczos vectors raises
     :class:`NumericalError`.
 
     ``order`` is the number of series terms kept: one term converges at
     order 2 in the step width, two or more at order 4, capped there by the
     quadratic envelope fit.
 
-    The step grid and the engine are sized before either is allocated, and a
-    run they would not fit in the memory this process may use raises
+    The step grid, the engine and the orbit tables are sized before the
+    grid and the engine are allocated, and a run they would not fit in the
+    memory this process may use raises
     :class:`SizeError`, as does an allocation that fails anyway.
     """
     _check_fixed(tau, n_steps, order)
     model, offsets = _prepare(model, offsets)
-    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model),
+    bases = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model),
                            offsets).run_space()
     # at most one step more per segment than n_steps; building the step grid
     # peaks at 32 bytes a step (tracemalloc)
     steps = (n_steps + len(schedule.kinks) + 1) << _level
-    if bases.n_bits >= _KRYLOV_MIN_BITS:
-        kind, need = _KrylovEngine, _krylov_bytes(bases.n_bits, bases.count, order)
+    if bases.dim >= 1 << _KRYLOV_MIN_BITS:
+        kind, need = _KrylovEngine, _krylov_bytes(bases.dim, bases.count, order)
     else:
-        kind, need = _StepEngine, sum(_engine_bytes(bases.n_bits, bases.count, order, steps))
+        kind, need = _StepEngine, sum(_engine_bytes(bases.dim, bases.count, order, steps))
+    # the orbit tables are held through the run
+    tables = 0 if bases.space is None else bases.space.nbytes
     subject = f"{model.n_qubits} qubits at order {order} with {bases.count} base operators"
-    with _memory_gate(need + 32 * steps, subject):
+    with _memory_gate(need + tables + 32 * steps, subject):
         starts, widths = _step_grid(n_steps, schedule.kinks, _level)
         engine = kind(bases, schedule, order)
         psi = engine.propagate(starts, widths, tau)
@@ -1080,7 +1091,7 @@ def simulate_reference_rk(
     """
     _check_fixed(tau, n_steps)
     model, offsets = _prepare(model, offsets)
-    bases = _BaseOperators(model.n_qubits, schedule.driver_sign, ising_diagonal(model), offsets)
+    bases = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model), offsets)
     dim, count, chunk = bases.dim, bases.count, 1 << 12  # chunk: steps per envelope evaluation
     # RK4's Butcher tableau in sixths, times -i, on the rows (psi, w_1, .., w_4) with
     # w_k = tau h H x_k: row k - 1 forms stage k's x_k, the last row the next psi

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -65,16 +67,53 @@ def base_operators(model, schedule, offsets=None):
     from annealsim.hamiltonian import _BaseOperators
 
     model = qa.IsingModel.from_terms(model)
-    return _BaseOperators(model.n_qubits, schedule.driver_sign, qa.ising_diagonal(model),
+    return _BaseOperators(model, schedule.driver_sign, qa.ising_diagonal(model),
                           offsets)
 
 
-def sector_isometry(n_qubits: int, parity: int) -> np.ndarray:
-    """The (2**n, 2**(n-1)) isometry P whose column r is
-    (|r> + parity |~r>) / sqrt(2), ~r flipping all n bits."""
-    dim = 1 << n_qubits
-    half = np.arange(dim // 2)
-    iso = np.zeros((dim, dim // 2))
-    iso[half, half] = 1.0
-    iso[dim - 1 - half, half] = parity
-    return iso / np.sqrt(2.0)
+def orbit_isometry(model, offsets=None, driver_sign=1) -> tuple[np.ndarray, int]:
+    """The (2**n, k) isometry onto the space a run propagates on, and the
+    order of the model's symmetry group, both by brute force.
+
+    Every signed permutation ``(pi, s)`` of the qubits is tried on the terms
+    and offsets; those that keep them form the group ``G``.  Column ``r`` is
+    the normalized sum of ``chi(g) |g v>`` over ``G``, ``v`` the smallest
+    state of an orbit, ``chi(g)`` being 1 under all-plus (driver sign -1)
+    and ``(-1)**|m|`` under all-minus, so an orbit whose phases cancel has no
+    column.  Columns are ordered by ``v``.  For n qubits this tries
+    ``n! 2**n`` candidates.
+    """
+    model = qa.IsingModel.from_terms(model)
+    n = model.n_qubits
+    J, h = np.zeros((n, n)), np.zeros(n)
+    for key, coeff in model.terms.items():
+        if len(key) == 1:
+            h[key[0] - 1] = coeff
+        else:
+            J[key[0] - 1, key[1] - 1] = J[key[1] - 1, key[0] - 1] = coeff
+    x = np.zeros(n) if offsets is None else np.array(offsets.x)
+    z = np.zeros(n) if offsets is None else np.array(offsets.z)
+    states = np.arange(1 << n)
+    group = []
+    for perm in itertools.permutations(range(n)):
+        perm = list(perm)
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            s = np.array(signs)
+            if (np.array_equal(J[np.ix_(perm, perm)], J * np.outer(s, s))
+                    and np.array_equal(h[perm], s * h) and np.array_equal(x[perm], x)
+                    and np.array_equal(z[perm], s * z)):
+                mask = sum(1 << perm[i] for i in range(n) if s[i] < 0)
+                image = sum(((states >> i) & 1) << perm[i] for i in range(n)) ^ mask
+                odd = bin(mask).count("1") % 2
+                group.append((image, -1.0 if driver_sign == 1 and odd else 1.0))
+    columns, seen = [], np.zeros(1 << n, bool)
+    for v in states:
+        if seen[v]:
+            continue
+        column = np.zeros(1 << n)
+        for image, chi in group:
+            column[image[v]] += chi
+            seen[image[v]] = True
+        if column.any():
+            columns.append(column / np.linalg.norm(column))
+    return np.array(columns).T, len(group)

@@ -11,8 +11,8 @@ import annealsim as qa
 from conftest import (
     FIVE_SPIN_GROUND_ENERGY,
     FIVE_SPIN_GROUND_INDICES,
+    orbit_isometry,
     random_model,
-    sector_isometry,
 )
 
 
@@ -235,7 +235,7 @@ class TestBaseOperators:
         from annealsim.hamiltonian import _BaseOperators
 
         model, offsets, rng = self.problem(n, sign, with_offsets)
-        bases = _BaseOperators(n, sign, qa.ising_diagonal(model), offsets)
+        bases = _BaseOperators(model, sign, qa.ising_diagonal(model), offsets)
         assert bases.count == (3 if with_offsets else 2)
         p, dim = 3, 1 << n
         block = rng.normal(size=(p, dim)) + 1j * rng.normal(size=(p, dim))
@@ -258,58 +258,73 @@ class TestBaseOperators:
             flipped = index.reshape((2,) * n)[_flip_index(mask)]
             assert np.array_equal(flipped.ravel(), index ^ mask)
 
-    @pytest.mark.parametrize("parity", [1, -1])
+    @staticmethod
+    def symmetric_problem(n, kind, rng, with_offsets=True):
+        """Couplings and X offsets that keep the global flip: random ones,
+        which keep nothing more, or a uniform ring, which keeps its rotations
+        and reflections too."""
+        if kind == "random":
+            terms = {p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)}
+            x = rng.normal(size=n)
+        else:
+            terms = {(i, i % n + 1) if i < n else (1, n): 0.7 for i in range(1, n + 1)}
+            x = np.full(n, 0.3)
+        offsets = qa.FieldOffsets.from_vectors(x=x, n_qubits=n) if with_offsets else None
+        return qa.IsingModel.from_terms(terms, n_qubits=n), offsets
+
+    @pytest.mark.parametrize("kind", ["random", "ring"])
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_flip_sector_is_the_projection(self, n, sign, parity):
-        # on two qubits both driver flips become the flip of the sector's one bit
+    def test_orbit_space_is_the_projection(self, n, sign, kind):
+        # on two qubits both driver flips become the flip of the sector's one
+        # bit; on a ring the flips become gathers
         from annealsim.hamiltonian import _BaseOperators
 
-        rng = np.random.default_rng(20 * n + (sign > 0) + 2 * (parity > 0))
-        model = qa.IsingModel.from_terms(
-            {p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)},
-            n_qubits=n)
-        # an X offset on every qubit, the top one included
-        offsets = qa.FieldOffsets.from_vectors(x=rng.normal(size=n), n_qubits=n)
-        bases = _BaseOperators(n, sign, qa.ising_diagonal(model), offsets)
-        assert bases.flip_symmetric()
-        sector = bases.flip_sector(parity)
-        assert (sector.n_bits, sector.dim, sector.count) == (n - 1, 1 << (n - 1), 3)
-        iso = sector_isometry(n, parity)
+        rng = np.random.default_rng(20 * n + (sign > 0) + 2 * (kind == "ring"))
+        model, offsets = self.symmetric_problem(n, kind, rng)
+        bases = _BaseOperators(model, sign, qa.ising_diagonal(model), offsets)
+        space = bases.run_space()
+        iso, order = orbit_isometry(model, offsets, sign)
+        assert (space.dim, space.count, space.symmetry_order) == (iso.shape[1], 3, order)
+        assert space.parity == (1 if sign == -1 else (-1) ** n)
         expected = iso.T @ bases.dense() @ iso
-        assert np.abs(sector.dense() - expected).max() <= 1e-14
-        p, dim = 3, sector.dim
+        assert np.abs(space.dense() - expected).max() <= 1e-14
+        p, dim = 3, space.dim
         block = rng.normal(size=(p, dim)) + 1j * rng.normal(size=(p, dim))
-        out = np.empty((sector.count * p, dim), dtype=complex)
-        sector.apply(block, out)
+        out = np.empty((space.count * p, dim), dtype=complex)
+        space.apply(block, out)
         assert np.abs(out - np.concatenate([block @ base for base in expected])).max() <= 1e-13
         summed = np.empty(dim, dtype=complex)
-        sector.apply_sum(block, summed)
+        space.apply_sum(block, summed)
         assert np.abs(summed - sum(base @ row for base, row in zip(expected, block))).max() <= 1e-13
+        assert np.abs(space.start_state() - iso.T @ bases.start_state()).max() <= 1e-15
+        assert np.abs(space.lift(block[0]) - iso @ block[0]).max() <= 1e-15
 
-    @pytest.mark.parametrize("space", [None, 1, -1])
+    @pytest.mark.parametrize("space", ["full", "flip", "ring"])
     @pytest.mark.parametrize("with_offsets", [False, True])
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("name", qa.builtin_schedule_names())
     def test_weighted_fill_matches_contracted_stack(self, name, sign, with_offsets, space):
-        # the full space takes fields and both offsets; a flip sector only
-        # couplings and X offsets, which keep the symmetry
+        # the full space takes fields and both offsets; the sector of the
+        # global flip and a ring's orbit space only couplings and X offsets,
+        # which keep the symmetry
         from annealsim.hamiltonian import _BaseOperators
         from annealsim.magnus import _fit_steps
 
         n = 4
         rng = np.random.default_rng(sum(map(ord, name)) + 2 * (sign > 0) + 4 * with_offsets)
-        terms = {p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)}
-        if space is None:
+        if space == "full":
+            terms = {p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)}
             terms.update({(i,): float(rng.normal()) for i in range(1, n + 1)})
-        offsets = (qa.FieldOffsets.from_vectors(
-            x=rng.normal(size=n), z=rng.normal(size=n) if space is None else None, n_qubits=n)
-            if with_offsets else None)
+            model = qa.IsingModel.from_terms(terms)
+            offsets = (qa.FieldOffsets.from_vectors(x=rng.normal(size=n), z=rng.normal(size=n))
+                       if with_offsets else None)
+        else:
+            model, offsets = self.symmetric_problem(n, "random" if space == "flip" else "ring",
+                                                    rng, with_offsets)
         schedule = qa.builtin_schedule(name, driver_sign=sign)
-        bases = _BaseOperators(n, sign, qa.ising_diagonal(qa.IsingModel.from_terms(terms)),
-                               offsets)
-        if space is not None:
-            bases = bases.flip_sector(space)
+        bases = _BaseOperators(model, sign, qa.ising_diagonal(model), offsets).run_space()
+        assert (bases.space is None) == (space == "full")
         stack = bases.dense()
         real = bases.envelopes(schedule, np.linspace(0.0, 1.0, 9))
         np.testing.assert_array_max_ulp(bases.dense(real),
@@ -325,17 +340,19 @@ class TestBaseOperators:
     def test_fields_and_z_offsets_break_the_symmetry(self):
         from annealsim.hamiltonian import _BaseOperators
 
+        def space(terms, offsets=None, n=3):
+            model = qa.IsingModel.from_terms(terms, n_qubits=n)
+            return _BaseOperators(model, 1, qa.ising_diagonal(model), offsets).run_space()
+
+        # couplings of two magnitudes: no reflection, only the global flip
         chain = {(1, 2): 1.0, (2, 3): -0.7}
-        diag = qa.ising_diagonal(qa.IsingModel.from_terms(chain))
-        assert _BaseOperators(3, 1, diag, None).flip_symmetric()
-        field = qa.ising_diagonal(qa.IsingModel.from_terms({**chain, (2,): 1e-3}))
-        assert not _BaseOperators(3, 1, field, None).flip_symmetric()
-        z = qa.FieldOffsets.from_vectors(z=[0.0, 0.0, 1e-3])
-        assert not _BaseOperators(3, 1, diag, z).flip_symmetric()
-        x = qa.FieldOffsets.from_vectors(x=[0.0, 0.0, 0.4])
-        assert _BaseOperators(3, 1, diag, x).flip_symmetric()
-        # one qubit has no sector to reduce to
-        assert not _BaseOperators(1, 1, np.zeros(2), None).flip_symmetric()
+        assert (space(chain).dim, space(chain).parity) == (4, -1)
+        assert space({**chain, (2,): 1e-3}).space is None
+        assert space(chain, qa.FieldOffsets.from_vectors(z=[0.0, 0.0, 1e-3])).space is None
+        assert space(chain, qa.FieldOffsets.from_vectors(x=[0.0, 0.0, 0.4])).parity == -1
+        # a free qubit's flip is the global flip: all-minus is all its space
+        assert (space({}, n=1).dim, space({}, n=1).parity) == (1, -1)
+        assert space({(1,): 0.5}, n=1).space is None
 
 
 class TestEigenspectrum:

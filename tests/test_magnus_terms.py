@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealsim as qa
-from conftest import base_operators, sector_isometry
+from conftest import base_operators, orbit_isometry
 
 
 def random_antihermitian(rng, dim):
@@ -267,13 +267,16 @@ class TestStepPolynomial:
 
     @pytest.mark.parametrize("sign, parity", [(1, -1), (-1, 1)])
     def test_sector_engine_matches_explicit_path(self, five_spin, sign, parity):
-        # all-minus on five qubits is odd under the global flip, all-plus even
+        # all-minus on five qubits is odd under the global flip, all-plus even;
+        # the orbit space comes from a brute-force search over every signed
+        # permutation, not from the code under test
         from annealsim.magnus import _StepEngine, _step_grid
 
         sched = qa.builtin_schedule("circular", driver_sign=sign)
         engine = _StepEngine(base_operators(five_spin, sched).run_space(), sched)
-        assert (engine.bases.parity, engine.dim) == (parity, 16)
-        iso = sector_isometry(5, parity)
+        iso, order = orbit_isometry(five_spin, None, sign)
+        assert (engine.bases.parity, engine.dim, engine.bases.symmetry_order) == (parity, 7, 8)
+        assert (iso.shape, order) == ((32, 7), 8)
         starts, widths = _step_grid(16, ())
         batch = engine.generators(engine.weights(starts, widths, 3.0))
         for k in (0, 7, 15):
@@ -335,10 +338,11 @@ class TestMemoryPreflight:
 
         import annealsim.hamiltonian as hamiltonian_mod
 
-        # the Krylov path's buffers take 2.9 GiB here, its widest trie level
-        # 3**7 * 2**16 * 16 bytes; pin the limit below that so the outcome
+        # the chain keeps its reflection, so it runs on 32,896 orbits, where
+        # the Krylov path's buffers take 1.5 GiB, its widest trie level
+        # 3**7 * 32896 * 16 bytes; pin the limit below that so the outcome
         # does not depend on the machine
-        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 2 << 30)
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 30)
         chain = {(i, i + 1): 1.0 for i in range(1, 16)}
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 16, z=[0.1] * 16, n_qubits=16)
         start = time.perf_counter()
@@ -359,9 +363,10 @@ class TestMemoryPreflight:
         engine = _StepEngine(base_operators(model, circular, offsets).run_space(), circular,
                              order)
         nb = engine.bases.count
-        # the Z offsets keep the full space; the bare chain runs in its sector
-        assert engine.bases.n_bits == (3 if with_offsets else 2)
-        cache_bytes, _ = _engine_bytes(engine.bases.n_bits, nb, order, 1)
+        # the Z offsets keep the full space; the bare chain runs on the 3
+        # orbits of its reflection and the global flip
+        assert engine.dim == (8 if with_offsets else 3)
+        cache_bytes, _ = _engine_bytes(engine.dim, nb, order, 1)
         assert engine.products.nbytes == cache_bytes
         # the bases lead the cache
         assert np.array_equal(engine.products[:nb], engine.bases.dense().reshape(nb, -1))
@@ -430,11 +435,11 @@ class TestMemoryPreflight:
         with pytest.raises(qa.SizeError, match="10 qubits in a spectrum need"):
             qa.eigenspectrum(chain, circular, np.linspace(0.0, 1.0, 10_000))
 
-    # a 3-qubit chain runs dense in its sector, an 8-qubit one by Krylov
+    # a 3-qubit chain runs dense on its 3 orbits, a 9-qubit one by Krylov on 136
     @pytest.mark.parametrize("run", [
         lambda schedule: qa.simulate_fixed({(1, 2): 1.0, (2, 3): -1.0}, 1.0, schedule,
                                            n_steps=4),
-        lambda schedule: qa.simulate_fixed({(i, i + 1): 1.0 for i in range(1, 8)}, 1.0,
+        lambda schedule: qa.simulate_fixed({(i, i + 1): 1.0 for i in range(1, 9)}, 1.0,
                                            schedule, n_steps=4),
         lambda schedule: qa.simulate_reference_rk({(1, 2): 1.0, (2,): 0.5}, 1.0, schedule,
                                                   n_steps=4),
@@ -456,9 +461,10 @@ class TestMemoryPreflight:
     def test_short_run_is_sized_by_its_steps(self, circular, monkeypatch):
         import annealsim.hamiltonian as hamiltonian_mod
 
-        # 6 qubits at order 8 with offsets: a 322 MB product cache and, for 2
-        # steps, a working set under 1 MB; the estimate charges a run for the
-        # steps it takes, up to one chunk
+        # 6 qubits at order 8 with offsets, on the 36 orbits of the chain's
+        # reflection: a 102 MB product cache and, for 2 steps, a working set
+        # under 1 MB; the estimate charges a run for the steps it takes, up to
+        # one chunk
         monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 500 * 10**6)
         chain = {(i, i + 1): 1.0 for i in range(1, 6)}
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 6, z=[0.1] * 6, n_qubits=6)
@@ -468,11 +474,12 @@ class TestMemoryPreflight:
         from annealsim.magnus import _chunk_steps, _engine_bytes
 
         chunk = _chunk_steps(1 << 12, 8)
-        assert _engine_bytes(6, 3, 8, 2)[1] < _engine_bytes(6, 3, 8, chunk)[1]
-        assert _engine_bytes(6, 3, 8, chunk)[1] == _engine_bytes(6, 3, 8, 10**6)[1]
+        assert _engine_bytes(64, 3, 8, 2)[1] < _engine_bytes(64, 3, 8, chunk)[1]
+        assert _engine_bytes(64, 3, 8, chunk)[1] == _engine_bytes(64, 3, 8, 10**6)[1]
 
-    # a chain propagates in its flip sector: 4 bits run dense, 7 bits Krylov
-    @pytest.mark.parametrize("n_qubits", [5, 8])
+    # a chain propagates on the orbits of its reflection and the global
+    # flip: 36 of them run dense at 7 qubits, 136 Krylov at 9
+    @pytest.mark.parametrize("n_qubits", [7, 9])
     def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, n_qubits):
         import annealsim.hamiltonian as hamiltonian_mod
         import annealsim.magnus as magnus_mod
@@ -484,7 +491,7 @@ class TestMemoryPreflight:
         chain = {(i, i + 1): 1.0 for i in range(1, n_qubits)}
         with pytest.raises(qa.SizeError, match=f"{n_qubits} qubits at order 4 with 2 base"):
             qa.simulate_fixed(chain, 1.0, circular, n_steps=1)
-        assert sized == ([(7, 2, 4)] if n_qubits == 8 else [])
+        assert sized == ([(136, 2, 4)] if n_qubits == 9 else [])
 
     def test_rk_reference_refuses_what_exceeds_the_limit(self, circular, monkeypatch):
         import annealsim.hamiltonian as hamiltonian_mod
@@ -502,7 +509,7 @@ class TestMemoryPreflight:
         import annealsim.hamiltonian as hamiltonian_mod
 
         # a 6-qubit chain at order 8: a 16.7 MB product cache on the full
-        # space, 4.2 MB on its flip sector of 5 bits
+        # space, 1.6 MB on the 20 orbits of its reflection and the global flip
         monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 8 * 10**6)
         chain = {(i, i + 1): 1.0 for i in range(1, 6)}
         result = qa.simulate_fixed(chain, 1.0, circular, order=8, n_steps=2)
@@ -518,9 +525,9 @@ class TestMemoryPreflight:
 
         # the trie stops at words of length order - 1: 2.9 GiB at 16 qubits,
         # order 8 with offsets, where words of length 8 took 8.6 GiB
-        assert 3**7 * 2**16 * 16 <= _krylov_bytes(16, 3, 8) < 3 * 2**30
-        assert _krylov_bytes(9, 2, 4) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 2 + 2**3 + 2**2)
-        assert _krylov_bytes(9, 3, 1) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 3)
+        assert 3**7 * 2**16 * 16 <= _krylov_bytes(1 << 16, 3, 8) < 3 * 2**30
+        assert _krylov_bytes(512, 2, 4) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 2 + 2**3 + 2**2)
+        assert _krylov_bytes(512, 3, 1) == 16 * 512 * (_KRYLOV_MAX_DIM + 3 + 3)
 
     def test_limit_is_the_least_of_memory_rlimit_and_cgroup(self, monkeypatch, tmp_path):
         import annealsim.hamiltonian as hamiltonian_mod

@@ -529,7 +529,8 @@ class TestKrylovPath:
         z = np.zeros(n) if sector else 0.3 * rng.normal(size=n)
         offsets = qa.FieldOffsets.from_vectors(x=0.3 * rng.normal(size=n), z=z)
         bases = base_operators(terms, circular, offsets if with_offsets else None).run_space()
-        assert (bases.n_bits, bases.count) == (4, 2 + with_offsets)
+        # random couplings keep only the global flip: 16 states either way
+        assert (bases.dim, bases.count) == (16, 2 + with_offsets)
         assert (bases.parity is not None) == sector
         dense = _StepEngine(bases, circular, order)
         weights = 1j * dense.weights(np.array([0.2]), np.array([0.1]), 3.0)[0]
@@ -585,16 +586,15 @@ class TestKrylovPath:
         assert np.abs(krylov.state - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("n_qubits", [7, 8])
-    def test_matches_state_vector_rk(self, linear, n_qubits):
-        # a +-1 glass with a field on every qubit keeps the full space, so it
-        # runs Krylov; RK4 shares none of the series, the trie or Lanczos
+    def test_matches_state_vector_rk(self, monkeypatch, linear, n_qubits):
+        # a +-1 glass with a field on every qubit, on the Krylov path; RK4
+        # shares none of the series, the trie, Lanczos or the orbit space
         rng = np.random.default_rng(5)
         terms = {pair: float(rng.choice((-1.0, 1.0)))
                  for pair in itertools.combinations(range(1, n_qubits + 1), 2)}
         terms.update({(i,): 0.3 for i in range(1, n_qubits + 1)})
-        magnus = qa.simulate_fixed(terms, 1.0, linear, order=4, n_steps=64)
+        magnus = _propagate(monkeypatch, "krylov", terms, 1.0, linear, order=4, n_steps=64)
         rk = qa.simulate_reference_rk(terms, 1.0, linear, n_steps=2000)
-        assert magnus.metadata["propagator"] == "krylov"
         assert qa.trace_distance(magnus.rho, rk.rho) <= 1e-9
 
     def test_thirteen_qubits_form_no_density_matrix(self, linear):
@@ -616,16 +616,26 @@ class TestKrylovPath:
         assert result.metadata["propagator"] == "krylov"
         assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_path_follows_the_propagated_bits(self, circular):
-        # a coupling-only model propagates n - 1 bits in its flip sector:
-        # 6 bits run dense, 7 Krylov, whatever the qubit count
-        couplings = {(i, j): 1.0 for i in range(1, 8) for j in range(i + 1, 8)}
-        cases = [("dense", couplings, 7), ("krylov", {**couplings, (1,): 0.5}, 7),
-                 ("krylov", {**couplings, (7, 8): -1.0}, 8)]
-        for path, terms, n_qubits in cases:
-            model = qa.IsingModel.from_terms(terms, n_qubits=n_qubits)
+    def test_path_follows_the_space_dimension(self, circular):
+        # the dimension propagated picks the path: 64 runs dense and 128
+        # Krylov, on the full space of a model without symmetry, on the flip
+        # sector of one with couplings only, whatever the qubit count; a
+        # uniform model runs dense on a handful of orbits
+        rng = np.random.default_rng(11)
+
+        def glass(n, fields):
+            terms = {p: float(rng.normal()) for p in itertools.combinations(range(1, n + 1), 2)}
+            terms.update({(i,): float(rng.normal()) for i in range(1, n + 1) if fields})
+            return terms
+
+        uniform = {p: 1.0 for p in itertools.combinations(range(1, 9), 2)}
+        cases = [("dense", glass(6, True), 64), ("krylov", glass(7, True), 128),
+                 ("dense", glass(7, False), 64), ("krylov", glass(8, False), 128),
+                 ("dense", uniform, 5)]
+        for path, terms, dim in cases:
+            model = qa.IsingModel.from_terms(terms)
             result = qa.simulate_fixed(model, 0.1, circular, n_steps=2)
-            assert result.metadata["propagator"] == path
+            assert (result.metadata["propagator"], result.metadata["space_dim"]) == (path, dim)
             assert ("flip_sector" in result.metadata) == ((1,) not in model.terms)
             assert result.state.shape == (1 << model.n_qubits,)
 
