@@ -17,7 +17,9 @@ propagates on, the start state there and the lift of the final state back to
 
 Every allocation here and in :mod:`annealsim.magnus` that grows with the
 input runs inside :func:`_memory_gate`, which sizes it first and raises
-:class:`SizeError` where it would not fit, or where it fails anyway.
+:class:`SizeError` where it would not fit, or where it fails anyway.  What
+outlives its gate is the cache of recent orbit spaces, up to 16 of them and
+32 MiB of tables beside the latest.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from __future__ import annotations
 import copy
 import math
 import os
+import threading
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 try:
     import resource
@@ -285,8 +288,7 @@ def _parities(states: np.ndarray, n: int) -> np.ndarray:
     return odd
 
 
-@dataclass(frozen=True, eq=False)
-class _OrbitSpace:
+class _OrbitSpace(NamedTuple):
     """The orbits of the basis states under a model's symmetry group ``G``.
 
     Orbit ``r`` stands for ``(1 / sqrt|O_r|) sum_{v in O_r} c_v |v>``, with
@@ -319,12 +321,38 @@ class _OrbitSpace:
         return sum(a.nbytes for a in arrays)
 
 
-@lru_cache(maxsize=16)
-def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
-                 driver_sign: int) -> _OrbitSpace | None:
-    """The orbit space of a model's symmetry group, or None where the group
-    is trivial; ``terms`` are the model's items.  Cached per model, offsets
-    and driver sign, so a sweep detects its model's symmetries once."""
+# orbit spaces by model, offsets and driver sign, the latest last, so that a
+# sweep finds its model's symmetries once; those before the latest are
+# dropped past 16 spaces or 32 MiB of orbit tables.  The lock serves the
+# threads of a sweep.
+_ORBIT_SPACES: dict = {}
+_ORBIT_LOCK = threading.Lock()
+_ORBIT_SPACES_KEPT = 16
+_ORBIT_BYTES_KEPT = 1 << 25
+
+
+def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None, driver_sign: int,
+                 flip_only: bool) -> _OrbitSpace | None:
+    """The orbit space of a model's symmetry group, or of its subgroup of
+    the global flip where ``flip_only``, or None where that is trivial;
+    ``terms`` are the model's items."""
+    key = (terms, n, offsets, driver_sign, flip_only)
+    with _ORBIT_LOCK:
+        space = _ORBIT_SPACES.pop(key, False)
+        if space is False:
+            space = _build_orbit_space(*key)
+            kept, count = (0 if space is None else space.nbytes), 1
+            for old in reversed(list(_ORBIT_SPACES)):
+                kept += 0 if _ORBIT_SPACES[old] is None else _ORBIT_SPACES[old].nbytes
+                count += 1
+                if kept > _ORBIT_BYTES_KEPT or count > _ORBIT_SPACES_KEPT:
+                    del _ORBIT_SPACES[old]
+        _ORBIT_SPACES[key] = space
+    return space
+
+
+def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None, driver_sign: int,
+                       flip_only: bool) -> _OrbitSpace | None:
     J, h = np.zeros((n, n)), np.zeros(n)
     for key, coeff in terms:
         if len(key) == 1:
@@ -333,30 +361,40 @@ def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
             J[key[0] - 1, key[1] - 1] = J[key[1] - 1, key[0] - 1] = coeff
     x, z = ((np.array(offsets.x), np.array(offsets.z)) if offsets is not None
             else (np.zeros(n), np.zeros(n)))
-    generators, order = signed_symmetries(J, h, x, z)
+    if flip_only:
+        generators, order = [(tuple(range(n)), (1 << n) - 1)], 2
+        if h.any() or z.any():
+            return None
+    else:
+        generators, order = signed_symmetries(J, h, x, z)
     if order == 1:
         return None
-    labels = orbit_labels(n, generators)
-    reps, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    phase = (1.0 - 2.0 * (_parities(np.arange(1 << n), n) ^ _parities(labels, n))
-             if driver_sign == 1 else np.ones(1 << n))
-    root_sizes = np.sqrt(sizes)
-    dim = reps.size
-    index = np.arange(dim)
+    term_flips = _term_flips(n, driver_sign, offsets)
+    # 8 bytes a state in each of: the generators' images, 9 working arrays
+    # (tracemalloc: at most 8 at 8-16 qubits) and a table and its weights
+    # per flip
+    need = (8 << n) * (len(generators) + 9 + 2 * sum(map(len, term_flips)))
+    with _memory_gate(need, f"{n} qubits in the orbits of {len(generators)} symmetries"):
+        labels = orbit_labels(n, generators)
+        reps, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        phase = (1.0 - 2.0 * (_parities(np.arange(1 << n), n) ^ _parities(labels, n))
+                 if driver_sign == 1 else np.ones(1 << n))
+        root_sizes = np.sqrt(sizes)
+        dim = reps.size
+        index = np.arange(dim)
 
-    def restrict(mask: int, w: float):
-        targets = reps ^ mask
-        table = orbit[targets]
-        weights = w * phase[targets] * (root_sizes / root_sizes[table])
-        if dim & (dim - 1) == 0 and np.array_equal(table, index ^ table[0]) and (
-                weights == weights[0]).all():
-            return int(table[0]), float(weights[0])
-        table.setflags(write=False)
-        weights.setflags(write=False)
-        return table, weights
+        def restrict(mask: int, w: float):
+            targets = reps ^ mask
+            table = orbit[targets]
+            weights = w * phase[targets] * (root_sizes / root_sizes[table])
+            if dim & (dim - 1) == 0 and np.array_equal(table, index ^ table[0]) and (
+                    weights == weights[0]).all():
+                return int(table[0]), float(weights[0])
+            table.setflags(write=False)
+            weights.setflags(write=False)
+            return table, weights
 
-    flips = [[restrict(mask, w) for mask, w in term]
-             for term in _term_flips(n, driver_sign, offsets)]
+        flips = [[restrict(mask, w) for mask, w in term] for term in term_flips]
     parity = None if h.any() or z.any() else 1 if driver_sign == -1 else (-1) ** n
     space = _OrbitSpace(order, parity, reps, orbit, phase, root_sizes, flips)
     for a in (reps, orbit, phase, root_sizes):
@@ -406,15 +444,21 @@ class _BaseOperators:
         return None if self.space is None else self.space.parity
 
     @property
+    def gathers(self) -> bool:
+        """Whether a flip of these bases is a gather."""
+        return any(not isinstance(target, int) for flips, _ in self.terms for target, _ in flips)
+
+    @property
     def symmetry_order(self) -> int:
         return 1 if self.space is None else self.space.order
 
-    def run_space(self) -> "_BaseOperators":
+    def run_space(self, flip_only: bool = False) -> "_BaseOperators":
         """The bases a run propagates on: these restricted to the orbit
-        space of the model's symmetry group, or these where it is trivial.
+        space of the model's symmetry group, or of its subgroup of the
+        global flip where ``flip_only``, or these where that is trivial.
         A diagonal takes each orbit's entry at its smallest member."""
         space = _orbit_space(tuple(self.model.terms.items()), self.n_qubits, self.offsets,
-                             self.driver_sign)
+                             self.driver_sign, flip_only)
         if space is None:
             return self
         out = copy.copy(self)
@@ -450,12 +494,11 @@ class _BaseOperators:
 
     def dense(self, weights: np.ndarray | None = None) -> np.ndarray:
         """Planes ``sum_b weights[k, b] B_b`` (real or complex), by default
-        the bases themselves, filled in place by one indexed add per flip and
-        diagonal over every plane where its base weighs, so that no other
-        dim x dim array is made.  Flips that meet in one entry add up: on two
-        qubits both driver flips of a flip sector flip its one bit.  On an
-        orbit space the gathers of a base, which meet often, are merged with
-        its diagonal into one add."""
+        the bases themselves, filled in place by one indexed add per flip,
+        gather and diagonal over every plane where its base weighs, so that
+        no other dim x dim array is made.  Each of them meets a row in one
+        entry; where two meet in one entry they add up: on two qubits both
+        driver flips of a flip sector flip its one bit."""
         stack = weights is None
         weights = np.eye(self.count) if stack else weights
         out = np.zeros((len(weights), self.dim, self.dim), np.result_type(weights, float))
@@ -463,31 +506,18 @@ class _BaseOperators:
         rows = np.arange(self.dim)
         for b, (flips, diagonal) in enumerate(self.terms):
             planes = np.array([b]) if stack else np.flatnonzero(weights[:, b])
+            adds = [(rows * self.dim + (rows ^ target if isinstance(target, int) else target), w)
+                    for target, w in flips]
+            if diagonal is not None:
+                adds.append((rows * (self.dim + 1), diagonal))
             if planes.size == 1:  # through a view of the plane, the faster index
                 plane, c = flat[planes[0]], weights[planes[0], b]
-            else:
-                plane, c = None, weights[planes, b][:, None]
-
-            def add(index, values):
-                if plane is None:
-                    flat[planes[:, None], index] += c * values
-                else:
+                for index, values in adds:
                     plane[index] += c * values
-
-            if all(isinstance(target, int) for target, _ in flips):
-                for mask, w in flips:
-                    add(rows * self.dim + (rows ^ mask), w)
-                if diagonal is not None:
-                    add(rows * (self.dim + 1), diagonal)
-                continue
-            # gathers meet each other and the diagonal: merged, then one add
-            index = [rows * self.dim + table for table, _ in flips]
-            values = [weights for _, weights in flips]
-            if diagonal is not None:
-                index.append(rows * (self.dim + 1))
-                values.append(diagonal)
-            index, inverse = np.unique(np.concatenate(index), return_inverse=True)
-            add(index, np.bincount(inverse, np.concatenate(values)))
+            else:
+                c = weights[planes, b][:, None]
+                for index, values in adds:
+                    flat[planes[:, None], index] += c * values
         return out
 
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
@@ -520,18 +550,14 @@ class _BaseOperators:
             shape = src.shape[:-1] + (2,) * (self.dim.bit_length() - 1)
             bits, out_bits = src.reshape(shape), out.reshape(shape)
         for target, w in flips:
-            if isinstance(target, int):
-                o, flipped = out_bits, bits[_flip_index(target)]
-            else:
-                o, flipped = out, src[..., target]
-            if isinstance(w, np.ndarray):
-                o += w * flipped
+            if not isinstance(target, int):
+                out += w * src[..., target]
             elif w == 1.0:
-                o += flipped
+                out_bits += bits[_flip_index(target)]
             elif w == -1.0:
-                o -= flipped
+                out_bits -= bits[_flip_index(target)]
             else:
-                o += w * flipped
+                out_bits += w * bits[_flip_index(target)]
 
 
 def hamiltonian_at(model, schedule, s: float, offsets: FieldOffsets | None = None) -> np.ndarray:

@@ -901,9 +901,13 @@ def simulate_fixed(
     leave the couplings, fields and offsets unchanged, found once per model
     (:mod:`annealsim.symmetry`).  Both start states are eigenstates of every
     such symmetry, so the run never leaves the span of one state per orbit;
-    the final state is lifted back to the full space.
-    ``metadata["symmetry_order"]`` is the group's order (1 on the full space)
-    and ``metadata["space_dim"]`` the dimension propagated.  Where the group
+    the final state is lifted back to the full space.  On the Krylov path an
+    orbit space whose flips are gathers is used only where it has at most a
+    quarter of the ``2**n`` states; elsewhere the run takes the orbit space
+    of the global flip alone where the group holds it, else the full space.
+    ``metadata["symmetry_order"]`` is the order of the group whose orbits
+    the run propagates on (1 on the full space) and
+    ``metadata["space_dim"]`` the dimension propagated.  Where the group
     holds the global spin flip ``prod_k X_k``, as it does for a model with
     no field and no nonzero Z offset, ``metadata["flip_sector"]`` gives the
     start state's eigenvalue of it, +1 or -1; it is absent otherwise.  The
@@ -923,8 +927,13 @@ def simulate_fixed(
     """
     _check_fixed(tau, n_steps, order)
     model, offsets = _prepare(model, offsets)
-    bases = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model),
-                           offsets).run_space()
+    full = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model), offsets)
+    bases = full.run_space()
+    # a gather costs 2-5 times a bit flip per entry, so on the Krylov path an
+    # orbit space of gathers pays only where it cuts the states 4-fold;
+    # elsewhere the sector of the global flip, whose flips stay bit flips
+    if bases.dim >= 1 << _KRYLOV_MIN_BITS and 4 * bases.dim > full.dim and bases.gathers:
+        bases = full.run_space(flip_only=True)
     # at most one step more per segment than n_steps; building the step grid
     # peaks at 32 bytes a step (tracemalloc)
     steps = (n_steps + len(schedule.kinks) + 1) << _level

@@ -338,11 +338,10 @@ class TestMemoryPreflight:
 
         import annealsim.hamiltonian as hamiltonian_mod
 
-        # the chain keeps its reflection, so it runs on 32,896 orbits, where
-        # the Krylov path's buffers take 1.5 GiB, its widest trie level
-        # 3**7 * 32896 * 16 bytes; pin the limit below that so the outcome
+        # the Krylov path's buffers take 2.9 GiB here, its widest trie level
+        # 3**7 * 2**16 * 16 bytes; pin the limit below that so the outcome
         # does not depend on the machine
-        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 30)
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 2 << 30)
         chain = {(i, i + 1): 1.0 for i in range(1, 16)}
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 16, z=[0.1] * 16, n_qubits=16)
         start = time.perf_counter()
@@ -449,12 +448,21 @@ class TestMemoryPreflight:
         lambda schedule: qa.build_step_polynomial({(1, 2): 1.0}, schedule, None, 1.0, 0.0, 0.5),
     ], ids=["simulate_fixed", "simulate_fixed_krylov", "simulate_reference_rk",
             "eigenspectrum", "hamiltonian_at", "transverse_matrix", "build_step_polynomial"])
-    def test_each_call_reads_the_limit_once(self, circular, monkeypatch, run):
+    def test_each_call_reads_the_limit_once(self, circular, monkeypatch, run, request):
+        # the first run on a symmetric model reads it once more for each
+        # orbit space it builds: the 9-qubit chain's orbits cut its states
+        # less than 4-fold, so it also builds the sector of the global flip;
+        # later runs find those spaces cached
         import annealsim.hamiltonian as hamiltonian_mod
 
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
         reads = []
         monkeypatch.setattr(hamiltonian_mod, "_memory_limit",
                             lambda: reads.append(None) or 1 << 30)
+        run(circular)
+        assert len(reads) == {"simulate_fixed": 2, "simulate_fixed_krylov": 3}.get(
+            request.node.callspec.id, 1)
+        reads.clear()
         run(circular)
         assert len(reads) == 1
 
@@ -477,21 +485,45 @@ class TestMemoryPreflight:
         assert _engine_bytes(64, 3, 8, 2)[1] < _engine_bytes(64, 3, 8, chunk)[1]
         assert _engine_bytes(64, 3, 8, chunk)[1] == _engine_bytes(64, 3, 8, 10**6)[1]
 
-    # a chain propagates on the orbits of its reflection and the global
-    # flip: 36 of them run dense at 7 qubits, 136 Krylov at 9
-    @pytest.mark.parametrize("n_qubits", [7, 9])
-    def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, n_qubits):
+    # a chain has the orbits of its reflection and the global flip: 36 of
+    # them run dense at 7 qubits, while 136 of 512 at 9 cut the states less
+    # than 4-fold, so that run is Krylov on the 256 states of the global
+    # flip's sector; a 13-qubit ring runs Krylov on 190 orbits.  The orbit
+    # spaces are built, under their own gates, before the limit is lowered.
+    @pytest.mark.parametrize("shape, n_qubits, sized_as", [
+        ("chain", 7, []), ("chain", 9, [(256, 2, 4)]), ("ring", 13, [(190, 2, 4)])])
+    def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, shape,
+                                                        n_qubits, sized_as):
         import annealsim.hamiltonian as hamiltonian_mod
         import annealsim.magnus as magnus_mod
 
+        model = {(i, i + 1): 1.0 for i in range(1, n_qubits)}
+        if shape == "ring":
+            model[(1, n_qubits)] = 1.0
+        for flip_only in (False, True):
+            base_operators(model, circular).run_space(flip_only)
         monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 16)
         krylov_bytes, sized = magnus_mod._krylov_bytes, []
         monkeypatch.setattr(magnus_mod, "_krylov_bytes",
                             lambda *args: sized.append(args) or krylov_bytes(*args))
-        chain = {(i, i + 1): 1.0 for i in range(1, n_qubits)}
         with pytest.raises(qa.SizeError, match=f"{n_qubits} qubits at order 4 with 2 base"):
-            qa.simulate_fixed(chain, 1.0, circular, n_steps=1)
-        assert sized == ([(136, 2, 4)] if n_qubits == 9 else [])
+            qa.simulate_fixed(model, 1.0, circular, n_steps=1)
+        assert sized == sized_as
+
+    def test_orbit_space_is_sized_before_it_is_built(self, circular, monkeypatch):
+        # 12 qubits: the images of 2 generators, 9 working arrays and a
+        # table and its weights for each of 24 flips, 1.9 MB against 64 KiB
+        import annealsim.hamiltonian as hamiltonian_mod
+
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
+        monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 16)
+        monkeypatch.setattr(hamiltonian_mod, "orbit_labels",
+                            lambda *args: pytest.fail("allocated"))
+        chain = {(i, i + 1): 1.0 for i in range(1, 12)}
+        offsets = qa.FieldOffsets.from_vectors(x=[0.1] * 12, n_qubits=12)
+        with pytest.raises(qa.SizeError,
+                           match="12 qubits in the orbits of 2 symmetries need 1933312 bytes"):
+            qa.simulate_fixed(chain, 1.0, circular, n_steps=1, offsets=offsets)
 
     def test_rk_reference_refuses_what_exceeds_the_limit(self, circular, monkeypatch):
         import annealsim.hamiltonian as hamiltonian_mod

@@ -81,6 +81,66 @@ class TestOrbitSpace:
         assert orbits.state.shape == full.state.shape
         assert qa.trace_distance(orbits.rho, full.rho) <= 1e-13
 
+    @pytest.mark.parametrize("fourth", ["field", "free"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_dense_path_with_flips_and_gathers_in_one_base(self, fourth, sign):
+        # a uniform triangle and a fourth qubit that the permutations fix:
+        # its driver flip stays a flip of the orbit indices, while the
+        # triangle's become gathers, all in the driver's base
+        triangle = {(1, 2): -1.0, (1, 3): -1.0, (2, 3): -1.0}
+        terms = ({**triangle, (1,): 0.5, (2,): 0.5, (3,): 0.5, (4,): 0.2}
+                 if fourth == "field" else triangle)
+        model = qa.IsingModel.from_terms(terms, n_qubits=4)
+        iso, order = orbit_isometry(model, driver_sign=sign)
+        space = _space(model, driver_sign=sign)
+        assert (space.symmetry_order, space.dim) == (order, iso.shape[1])
+        kinds = {isinstance(target, int) for target, _ in space.terms[0][0]}
+        assert kinds == {True, False}
+        schedule = qa.builtin_schedule("circular", driver_sign=sign)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(magnus_mod, "_KRYLOV_MIN_BITS", 99)
+            orbits = qa.simulate_fixed(model, 2.0, schedule, n_steps=16)
+            patch.setattr(_BaseOperators, "run_space", lambda self: self)
+            full = qa.simulate_fixed(model, 2.0, schedule, n_steps=16)
+        assert orbits.metadata["space_dim"] == space.dim
+        assert qa.trace_distance(orbits.rho, full.rho) <= 1e-13
+
+    def test_cache_serves_threads(self, monkeypatch):
+        # more threads than cores look up and evict orbit spaces of eight
+        # models through a cache that keeps two, switching often
+        import sys
+        import threading
+
+        import annealsim.hamiltonian as hamiltonian_mod
+
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES_KEPT", 2)
+        rings = [qa.IsingModel.from_terms(_ring(n, 0.7)) for n in range(3, 11)]
+        dims = [_space(ring).dim for ring in rings]
+        errors = []
+
+        def work(k):
+            try:
+                for i in range(40):
+                    j = (k + i) % len(rings)
+                    assert _space(rings[j]).dim == dims[j]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(hamiltonian_mod._ORBIT_SPACES) <= 2
+
     @pytest.mark.parametrize("copy", [False, True])
     def test_five_spin_group(self, copy):
         # a relabelled, gauge-flipped copy has a conjugate group

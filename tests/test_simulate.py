@@ -620,7 +620,9 @@ class TestKrylovPath:
         # the dimension propagated picks the path: 64 runs dense and 128
         # Krylov, on the full space of a model without symmetry, on the flip
         # sector of one with couplings only, whatever the qubit count; a
-        # uniform model runs dense on a handful of orbits
+        # uniform model runs dense on a handful of orbits.  On the Krylov
+        # path a chain's 136 orbits of 512 give way to its flip sector,
+        # while a ring's 190 of 8192 are kept
         rng = np.random.default_rng(11)
 
         def glass(n, fields):
@@ -629,9 +631,11 @@ class TestKrylovPath:
             return terms
 
         uniform = {p: 1.0 for p in itertools.combinations(range(1, 9), 2)}
+        chain = {(i, i + 1): 1.0 for i in range(1, 9)}
+        ring = {**{(i, i + 1): 1.0 for i in range(1, 13)}, (1, 13): 1.0}
         cases = [("dense", glass(6, True), 64), ("krylov", glass(7, True), 128),
                  ("dense", glass(7, False), 64), ("krylov", glass(8, False), 128),
-                 ("dense", uniform, 5)]
+                 ("dense", uniform, 5), ("krylov", chain, 256), ("krylov", ring, 190)]
         for path, terms, dim in cases:
             model = qa.IsingModel.from_terms(terms)
             result = qa.simulate_fixed(model, 0.1, circular, n_steps=2)
