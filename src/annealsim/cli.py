@@ -18,6 +18,7 @@ from .errors import AnnealSimError, ConvergenceError, NumericalError
 from .hamiltonian import (
     FieldOffsets,
     IsingModel,
+    _memory_gate,
     eigenspectrum,
     minimum_gap,
 )
@@ -107,7 +108,8 @@ def _parse_times(text: str) -> list[float]:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
         if count < 1:
             raise ValueError("logspace count must be >= 1")
-        return [float(t) for t in np.logspace(lo, hi, count)]
+        with _memory_gate(48 * count, f"{count} sweep times"):  # tracemalloc: 41 bytes each
+            return [float(t) for t in np.logspace(lo, hi, count)]
     return [float(v) for v in text.split(",") if v.strip()]
 
 
@@ -225,7 +227,8 @@ def _cmd_convert(args) -> int:
         if args.n is None:
             raise ValueError("--n is required when converting from an integer")
         value = int(args.value)
-        bits = encoding.int_to_binary(value, args.n)
+        with _memory_gate(80 * args.n, f"{args.n} qubits in a label"):  # tracemalloc: 76 bytes each
+            bits = encoding.int_to_binary(value, args.n)
     elif args.source == "binary":
         bits = [int(v) for v in args.value.split(",")]
         encoding.binary_to_int(bits)  # validates

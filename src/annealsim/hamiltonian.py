@@ -18,8 +18,8 @@ propagates on, the start state there and the lift of the final state back to
 Every allocation here and in :mod:`annealsim.magnus` that grows with the
 input runs inside :func:`_memory_gate`, which sizes it first and raises
 :class:`SizeError` where it would not fit, or where it fails anyway.  What
-outlives its gate is the cache of recent orbit spaces, up to 16 of them and
-32 MiB of tables beside the latest.
+outlives its gate is the cache of the spaces recent runs propagate on, one
+per model: up to 16 of them and 32 MiB of orbit tables beside the latest.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def _parities(states: np.ndarray, n: int) -> np.ndarray:
 
 
 class _OrbitSpace(NamedTuple):
-    """The orbits of the basis states under a model's symmetry group ``G``.
+    """The orbits of the basis states under a group ``G`` of a model's symmetries.
 
     Orbit ``r`` stands for ``(1 / sqrt|O_r|) sum_{v in O_r} c_v |v>``, with
     ``c_v`` in ``phase``: 1 under all-plus, ``(-1)**(|v| + |reps[r]|)`` under
@@ -321,22 +321,27 @@ class _OrbitSpace(NamedTuple):
         return sum(a.nbytes for a in arrays)
 
 
+# From 1 << _KRYLOV_MIN_BITS states (2**n on the full space, the orbit count
+# on an orbit space), annealsim.magnus steps by Lanczos, where an orbit space
+# keeps gathers only if they cut the states 4-fold.  Adaptive order-4 runs on
+# one core, dense against Krylov: 4-10x faster at 64 states, even at 128
+# (0.81 / 0.79 s), 4x slower at 256 (4.65 / 1.13 s).
+_KRYLOV_MIN_BITS = 7
+
 # orbit spaces by model, offsets and driver sign, the latest last, so that a
 # sweep finds its model's symmetries once; those before the latest are
 # dropped past 16 spaces or 32 MiB of orbit tables.  The lock serves the
-# threads of a sweep.
+# threads of a sweep.  Each was chosen under the _KRYLOV_MIN_BITS of its build.
 _ORBIT_SPACES: dict = {}
 _ORBIT_LOCK = threading.Lock()
 _ORBIT_SPACES_KEPT = 16
 _ORBIT_BYTES_KEPT = 1 << 25
 
 
-def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None, driver_sign: int,
-                 flip_only: bool) -> _OrbitSpace | None:
-    """The orbit space of a model's symmetry group, or of its subgroup of
-    the global flip where ``flip_only``, or None where that is trivial;
-    ``terms`` are the model's items."""
-    key = (terms, n, offsets, driver_sign, flip_only)
+def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
+                 driver_sign: int) -> _OrbitSpace | None:
+    """The cached :func:`_build_orbit_space`; ``terms`` are the model's items."""
+    key = (terms, n, offsets, driver_sign)
     with _ORBIT_LOCK:
         space = _ORBIT_SPACES.pop(key, False)
         if space is False:
@@ -351,8 +356,13 @@ def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None, driver_sign
     return space
 
 
-def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None, driver_sign: int,
-                       flip_only: bool) -> _OrbitSpace | None:
+def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
+                       driver_sign: int) -> _OrbitSpace | None:
+    """The orbit space a run of the model propagates on, or None for the
+    full space: that of its symmetry group, unless it has a gather, at least
+    ``1 << _KRYLOV_MIN_BITS`` states (the Krylov path, where a gather costs
+    2-5 times a bit flip per entry) and over a quarter of the ``2**n``; then
+    that of its X flips alone, the generators that permute no qubit."""
     J, h = np.zeros((n, n)), np.zeros(n)
     for key, coeff in terms:
         if len(key) == 1:
@@ -361,20 +371,13 @@ def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None, drive
             J[key[0] - 1, key[1] - 1] = J[key[1] - 1, key[0] - 1] = coeff
     x, z = ((np.array(offsets.x), np.array(offsets.z)) if offsets is not None
             else (np.zeros(n), np.zeros(n)))
-    if flip_only:
-        generators, order = [(tuple(range(n)), (1 << n) - 1)], 2
-        if h.any() or z.any():
-            return None
-    else:
-        generators, order = signed_symmetries(J, h, x, z)
+    generators, order = signed_symmetries(J, h, x, z)
     if order == 1:
         return None
     term_flips = _term_flips(n, driver_sign, offsets)
-    # 8 bytes a state in each of: the generators' images, 9 working arrays
-    # (tracemalloc: at most 8 at 8-16 qubits) and a table and its weights
-    # per flip
-    need = (8 << n) * (len(generators) + 9 + 2 * sum(map(len, term_flips)))
-    with _memory_gate(need, f"{n} qubits in the orbits of {len(generators)} symmetries"):
+    parity = None if h.any() or z.any() else 1 if driver_sign == -1 else (-1) ** n
+
+    def build(generators: list, order: int) -> _OrbitSpace:
         labels = orbit_labels(n, generators)
         reps, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
         phase = (1.0 - 2.0 * (_parities(np.arange(1 << n), n) ^ _parities(labels, n))
@@ -395,10 +398,21 @@ def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None, drive
             return table, weights
 
         flips = [[restrict(mask, w) for mask, w in term] for term in term_flips]
-    parity = None if h.any() or z.any() else 1 if driver_sign == -1 else (-1) ** n
-    space = _OrbitSpace(order, parity, reps, orbit, phase, root_sizes, flips)
-    for a in (reps, orbit, phase, root_sizes):
-        a.setflags(write=False)
+        for a in (reps, orbit, phase, root_sizes):
+            a.setflags(write=False)
+        return _OrbitSpace(order, parity, reps, orbit, phase, root_sizes, flips)
+
+    # 8 bytes a state in each of: the generators' images, 9 working arrays
+    # (tracemalloc: at most 8 at 8-16 qubits) and a table and its weights
+    # per flip; the X flips alone are fewer generators, with no tables
+    need = (8 << n) * (len(generators) + 9 + 2 * sum(map(len, term_flips)))
+    with _memory_gate(need, f"{n} qubits in the orbits of {len(generators)} symmetries"):
+        space = build(generators, order)
+        if space.reps.size >= 1 << _KRYLOV_MIN_BITS and 4 * space.reps.size > 1 << n and any(
+                not isinstance(target, int) for term in space.flips for target, _ in term):
+            del space  # its tables go before the next build
+            flips = [g for g in generators if g[0] == tuple(range(n))]
+            space = build(flips, 1 << len(flips)) if flips else None
     return space
 
 
@@ -418,8 +432,7 @@ class _BaseOperators:
     ``model`` gives the terms the symmetries are found from
     (:mod:`annealsim.symmetry`); ``diagonal`` is its Ising diagonal.  On the
     full space ``space`` is None; :meth:`run_space` gives the same bases on
-    the orbit space (:class:`_OrbitSpace`) of the model's symmetry group that
-    holds the start state, where the group is not trivial.
+    the orbit space (:class:`_OrbitSpace`) that a run propagates on.
     """
 
     def __init__(self, model: IsingModel, driver_sign: int, diagonal: np.ndarray,
@@ -444,21 +457,15 @@ class _BaseOperators:
         return None if self.space is None else self.space.parity
 
     @property
-    def gathers(self) -> bool:
-        """Whether a flip of these bases is a gather."""
-        return any(not isinstance(target, int) for flips, _ in self.terms for target, _ in flips)
-
-    @property
     def symmetry_order(self) -> int:
         return 1 if self.space is None else self.space.order
 
-    def run_space(self, flip_only: bool = False) -> "_BaseOperators":
-        """The bases a run propagates on: these restricted to the orbit
-        space of the model's symmetry group, or of its subgroup of the
-        global flip where ``flip_only``, or these where that is trivial.
-        A diagonal takes each orbit's entry at its smallest member."""
+    def run_space(self) -> "_BaseOperators":
+        """The bases a run propagates on, on the space that
+        :func:`_build_orbit_space` chooses; a diagonal takes each orbit's
+        entry at its smallest member."""
         space = _orbit_space(tuple(self.model.terms.items()), self.n_qubits, self.offsets,
-                             self.driver_sign, flip_only)
+                             self.driver_sign)
         if space is None:
             return self
         out = copy.copy(self)

@@ -44,6 +44,7 @@ from typing import Any
 
 import numpy as np
 
+from . import hamiltonian
 from .errors import ConvergenceError, NumericalError, SolverConfigError
 from .hamiltonian import (
     FieldOffsets,
@@ -531,12 +532,6 @@ _CHUNK_ELEMENTS = 1 << 21  # per-chunk working-set bound (matrix elements)
 # (measured with ru_maxrss: 2.0-2.3 at 3-8 qubits)
 _CHUNK_ARRAYS = 3
 
-# From a space of 1 << _KRYLOV_MIN_BITS states on (2**n on the full space,
-# the orbit count on an orbit space), steps act on the state vector by
-# Lanczos; below it the dense engine is faster.  Adaptive order-4 runs on one
-# core, dense against Krylov: 4-10x faster at 64 states, even at 128 (0.81 /
-# 0.79 s), 4x slower at 256 (4.65 / 1.13 s).
-_KRYLOV_MIN_BITS = 7
 # Lanczos stops once its a-posteriori error estimate, relative to the norm of
 # the state, is below _KRYLOV_TOL.  A step that needs more than
 # _KRYLOV_MAX_DIM vectors has a spectrum too wide for the truncated series to
@@ -904,7 +899,7 @@ def simulate_fixed(
     the final state is lifted back to the full space.  On the Krylov path an
     orbit space whose flips are gathers is used only where it has at most a
     quarter of the ``2**n`` states; elsewhere the run takes the orbit space
-    of the global flip alone where the group holds it, else the full space.
+    of the model's X flips alone, else the full space.
     ``metadata["symmetry_order"]`` is the order of the group whose orbits
     the run propagates on (1 on the full space) and
     ``metadata["space_dim"]`` the dimension propagated.  Where the group
@@ -927,17 +922,11 @@ def simulate_fixed(
     """
     _check_fixed(tau, n_steps, order)
     model, offsets = _prepare(model, offsets)
-    full = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model), offsets)
-    bases = full.run_space()
-    # a gather costs 2-5 times a bit flip per entry, so on the Krylov path an
-    # orbit space of gathers pays only where it cuts the states 4-fold;
-    # elsewhere the sector of the global flip, whose flips stay bit flips
-    if bases.dim >= 1 << _KRYLOV_MIN_BITS and 4 * bases.dim > full.dim and bases.gathers:
-        bases = full.run_space(flip_only=True)
+    bases = _BaseOperators(model, schedule.driver_sign, ising_diagonal(model), offsets).run_space()
     # at most one step more per segment than n_steps; building the step grid
     # peaks at 32 bytes a step (tracemalloc)
     steps = (n_steps + len(schedule.kinks) + 1) << _level
-    if bases.dim >= 1 << _KRYLOV_MIN_BITS:
+    if bases.dim >= 1 << hamiltonian._KRYLOV_MIN_BITS:
         kind, need = _KrylovEngine, _krylov_bytes(bases.dim, bases.count, order)
     else:
         kind, need = _StepEngine, sum(_engine_bytes(bases.dim, bases.count, order, steps))

@@ -272,18 +272,21 @@ class TestOversizedRuns:
          "--steps", "2000000000"],
         ["spectrum", "--model", ";".join(f"{i},{i + 1}=-1" for i in range(1, 10)),
          "--schedule", "linear", "--grid", "2000000"],
-    ], ids=["simulate", "spectrum"])
+        ["sweep", "--model", "1,2=-1", "--schedule", "linear",
+         "--times", "logspace:0:1:1000000000"],
+        ["convert", "--from", "int", "--to", "binary", "--value", "1", "--n", "1000000000"],
+    ], ids=["simulate", "spectrum", "sweep", "convert"])
     def test_refused_with_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
         import time
 
         import annealsim.hamiltonian as hamiltonian_mod
 
-        # 64 GB of step grid and 16 GB of levels; the limit is pinned, so
-        # that no machine starts either run
+        # 64 GB of step grid, 16 GB of levels, 48 GB of sweep times and 80 GB
+        # of label; the limit is pinned, so that no machine starts any of them
         monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 4 << 30)
         out = tmp_path / "out"
         start = time.perf_counter()
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main(argv + ([] if argv[0] == "convert" else ["--out", str(out)])) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error[args]: ")

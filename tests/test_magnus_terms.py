@@ -434,7 +434,8 @@ class TestMemoryPreflight:
         with pytest.raises(qa.SizeError, match="10 qubits in a spectrum need"):
             qa.eigenspectrum(chain, circular, np.linspace(0.0, 1.0, 10_000))
 
-    # a 3-qubit chain runs dense on its 3 orbits, a 9-qubit one by Krylov on 136
+    # a 3-qubit chain runs dense on its 3 orbits, a 9-qubit one by Krylov on
+    # the 256 states of its flip sector
     @pytest.mark.parametrize("run", [
         lambda schedule: qa.simulate_fixed({(1, 2): 1.0, (2, 3): -1.0}, 1.0, schedule,
                                            n_steps=4),
@@ -449,10 +450,11 @@ class TestMemoryPreflight:
     ], ids=["simulate_fixed", "simulate_fixed_krylov", "simulate_reference_rk",
             "eigenspectrum", "hamiltonian_at", "transverse_matrix", "build_step_polynomial"])
     def test_each_call_reads_the_limit_once(self, circular, monkeypatch, run, request):
-        # the first run on a symmetric model reads it once more for each
-        # orbit space it builds: the 9-qubit chain's orbits cut its states
-        # less than 4-fold, so it also builds the sector of the global flip;
-        # later runs find those spaces cached
+        # the first run on a symmetric model reads it once more, for the
+        # build of its space: on the 9-qubit chain that build drops the
+        # orbits of the whole group, which cut the states less than 4-fold,
+        # for the sector of the global flip under the same gate; later runs
+        # find that space cached
         import annealsim.hamiltonian as hamiltonian_mod
 
         monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
@@ -460,8 +462,7 @@ class TestMemoryPreflight:
         monkeypatch.setattr(hamiltonian_mod, "_memory_limit",
                             lambda: reads.append(None) or 1 << 30)
         run(circular)
-        assert len(reads) == {"simulate_fixed": 2, "simulate_fixed_krylov": 3}.get(
-            request.node.callspec.id, 1)
+        assert len(reads) == (2 if request.node.callspec.id.startswith("simulate_fixed") else 1)
         reads.clear()
         run(circular)
         assert len(reads) == 1
@@ -488,8 +489,8 @@ class TestMemoryPreflight:
     # a chain has the orbits of its reflection and the global flip: 36 of
     # them run dense at 7 qubits, while 136 of 512 at 9 cut the states less
     # than 4-fold, so that run is Krylov on the 256 states of the global
-    # flip's sector; a 13-qubit ring runs Krylov on 190 orbits.  The orbit
-    # spaces are built, under their own gates, before the limit is lowered.
+    # flip's sector; a 13-qubit ring runs Krylov on 190 orbits.  The space
+    # is built, under its own gate, before the limit is lowered.
     @pytest.mark.parametrize("shape, n_qubits, sized_as", [
         ("chain", 7, []), ("chain", 9, [(256, 2, 4)]), ("ring", 13, [(190, 2, 4)])])
     def test_either_path_refuses_what_exceeds_the_limit(self, circular, monkeypatch, shape,
@@ -500,8 +501,7 @@ class TestMemoryPreflight:
         model = {(i, i + 1): 1.0 for i in range(1, n_qubits)}
         if shape == "ring":
             model[(1, n_qubits)] = 1.0
-        for flip_only in (False, True):
-            base_operators(model, circular).run_space(flip_only)
+        base_operators(model, circular).run_space()
         monkeypatch.setattr(hamiltonian_mod, "_memory_limit", lambda: 1 << 16)
         krylov_bytes, sized = magnus_mod._krylov_bytes, []
         monkeypatch.setattr(magnus_mod, "_krylov_bytes",

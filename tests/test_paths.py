@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealsim as qa
-import annealsim.magnus as magnus_mod
+import annealsim.hamiltonian as hamiltonian_mod
 from annealsim.hamiltonian import _BaseOperators
 from conftest import FIVE_SPIN_TERMS, orbit_isometry
 
@@ -73,7 +73,8 @@ class TestOrbitSpace:
         args = (model, 0.5, schedule)
         kwargs = {"n_steps": 8, "offsets": offsets}
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(magnus_mod, "_KRYLOV_MIN_BITS", 1 if krylov else 99)
+            patch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 1 if krylov else 99)
+            patch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
             orbits = qa.simulate_fixed(*args, **kwargs)
             patch.setattr(_BaseOperators, "run_space", lambda self: self)
             full = qa.simulate_fixed(*args, **kwargs)
@@ -98,7 +99,8 @@ class TestOrbitSpace:
         assert kinds == {True, False}
         schedule = qa.builtin_schedule("circular", driver_sign=sign)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(magnus_mod, "_KRYLOV_MIN_BITS", 99)
+            patch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 99)
+            patch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
             orbits = qa.simulate_fixed(model, 2.0, schedule, n_steps=16)
             patch.setattr(_BaseOperators, "run_space", lambda self: self)
             full = qa.simulate_fixed(model, 2.0, schedule, n_steps=16)
@@ -110,8 +112,6 @@ class TestOrbitSpace:
         # models through a cache that keeps two, switching often
         import sys
         import threading
-
-        import annealsim.hamiltonian as hamiltonian_mod
 
         monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
         monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES_KEPT", 2)
@@ -140,6 +140,46 @@ class TestOrbitSpace:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(hamiltonian_mod._ORBIT_SPACES) <= 2
+
+    def test_field_free_component_keeps_its_flip(self):
+        # a chain on qubits 1-7 with fields beside a field-free chain 8-9-10:
+        # the group of order 4 leaves 384 orbits of 1024, some flips gathers,
+        # so the Krylov path takes the free chain's flip alone; the global
+        # flip is no symmetry
+        terms = {(i, i + 1): 1.0 for i in range(1, 7)}
+        terms.update({(i,): 0.1 * i for i in range(1, 8)})
+        terms.update({(8, 9): 1.0, (9, 10): 1.0})
+        schedule = qa.builtin_schedule("linear")
+        orbits = qa.simulate_fixed(terms, 1.0, schedule, n_steps=16)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_BaseOperators, "run_space", lambda self: self)
+            full = qa.simulate_fixed(terms, 1.0, schedule, n_steps=16)
+        assert (orbits.metadata["space_dim"], orbits.metadata["symmetry_order"]) == (512, 2)
+        assert "flip_sector" not in orbits.metadata
+        assert qa.trace_distance(orbits.rho, full.rho) <= 1e-13
+
+    def test_one_cached_space_per_model(self, monkeypatch):
+        # the 9-qubit chain's 136 orbits cut its states less than 4-fold, so
+        # the run keeps only the sector of the global flip, of bit flips
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
+        chain = {(i, i + 1): 1.0 for i in range(1, 9)}
+        result = qa.simulate_fixed(chain, 1.0, qa.builtin_schedule("linear"), n_steps=4)
+        metadata = result.metadata
+        assert (metadata["propagator"], metadata["space_dim"], metadata["flip_sector"]) == (
+            "krylov", 256, -1)
+        (space,) = hamiltonian_mod._ORBIT_SPACES.values()
+        assert all(isinstance(target, int) for term in space.flips for target, _ in term)
+
+    def test_dropped_space_leaves_no_table(self, monkeypatch):
+        # the 16-qubit chain with uniform X and Z offsets has its reflection
+        # alone: 32,896 orbits of 65,536, with gathers, and no X flip
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
+        n = 16
+        model = qa.IsingModel.from_terms({(i, i + 1): 1.0 for i in range(1, n)})
+        offsets = qa.FieldOffsets.from_vectors(x=[0.1] * n, z=[0.1] * n)
+        full = _BaseOperators(model, 1, qa.ising_diagonal(model), offsets)
+        assert full.run_space() is full
+        assert list(hamiltonian_mod._ORBIT_SPACES.values()) == [None]
 
     @pytest.mark.parametrize("copy", [False, True])
     def test_five_spin_group(self, copy):

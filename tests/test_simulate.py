@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import annealsim as qa
+import annealsim.hamiltonian as hamiltonian_mod
 import annealsim.magnus as magnus_mod
 from conftest import base_operators, random_model
 
@@ -466,7 +467,8 @@ class TestNonFiniteGenerators:
         # of ten steps only the third has a node there, its midpoint 0.25
         sched = qa.schedule_from_functions(
             lambda s: np.where((s > 0.2) & (s < 0.3), np.nan, 1.0 - s), lambda s: s + 0.0)
-        monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
+        monkeypatch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
         # a chunk element bound of 1 puts every step in a chunk of its own
         monkeypatch.setattr(magnus_mod, "_CHUNK_ELEMENTS", chunk_elements)
         with pytest.raises(qa.NumericalError, match=r"non-finite step generator at step index 2$"):
@@ -474,8 +476,10 @@ class TestNonFiniteGenerators:
 
 
 def _propagate(monkeypatch, path, *args, **kwargs):
-    """simulate_fixed forced onto the dense or the Krylov path."""
-    monkeypatch.setattr(magnus_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
+    """simulate_fixed forced onto the dense or the Krylov path, its space
+    chosen anew under that path's threshold."""
+    monkeypatch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
+    monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
     result = qa.simulate_fixed(*args, **kwargs)
     assert result.metadata["propagator"] == path
     return result
