@@ -377,27 +377,39 @@ def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
     term_flips = _term_flips(n, driver_sign, offsets)
     parity = None if h.any() or z.any() else 1 if driver_sign == -1 else (-1) ** n
 
-    def build(generators: list, order: int) -> _OrbitSpace:
+    def build(generators: list, order: int, gathers: bool) -> _OrbitSpace | None:
+        """Their orbit space, or None at its first gather where neither
+        ``gathers`` nor the size rule above lets it keep one."""
         labels = orbit_labels(n, generators)
         reps, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        dim = reps.size
+        gathers = gathers or dim < 1 << _KRYLOV_MIN_BITS or 4 * dim <= 1 << n
         phase = (1.0 - 2.0 * (_parities(np.arange(1 << n), n) ^ _parities(labels, n))
                  if driver_sign == 1 else np.ones(1 << n))
         root_sizes = np.sqrt(sizes)
-        dim = reps.size
         index = np.arange(dim)
 
         def restrict(mask: int, w: float):
+            """The flip on the orbits, or None for a gather it may not keep."""
             targets = reps ^ mask
             table = orbit[targets]
+            # a flip of the orbit indices with one weight stays a flip
+            shift = dim & (dim - 1) == 0 and np.array_equal(table, index ^ table[0])
+            if not (shift or gathers):
+                return None
             weights = w * phase[targets] * (root_sizes / root_sizes[table])
-            if dim & (dim - 1) == 0 and np.array_equal(table, index ^ table[0]) and (
-                    weights == weights[0]).all():
+            if shift and (weights == weights[0]).all():
                 return int(table[0]), float(weights[0])
             table.setflags(write=False)
             weights.setflags(write=False)
-            return table, weights
+            return (table, weights) if gathers else None
 
-        flips = [[restrict(mask, w) for mask, w in term] for term in term_flips]
+        flips = [[] for _ in term_flips]
+        for row, term in zip(flips, term_flips):
+            for mask, w in term:
+                row.append(restrict(mask, w))
+                if row[-1] is None:
+                    return None
         for a in (reps, orbit, phase, root_sizes):
             a.setflags(write=False)
         return _OrbitSpace(order, parity, reps, orbit, phase, root_sizes, flips)
@@ -407,12 +419,10 @@ def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
     # per flip; the X flips alone are fewer generators, with no tables
     need = (8 << n) * (len(generators) + 9 + 2 * sum(map(len, term_flips)))
     with _memory_gate(need, f"{n} qubits in the orbits of {len(generators)} symmetries"):
-        space = build(generators, order)
-        if space.reps.size >= 1 << _KRYLOV_MIN_BITS and 4 * space.reps.size > 1 << n and any(
-                not isinstance(target, int) for term in space.flips for target, _ in term):
-            del space  # its tables go before the next build
+        space = build(generators, order, gathers=False)
+        if space is None:
             flips = [g for g in generators if g[0] == tuple(range(n))]
-            space = build(flips, 1 << len(flips)) if flips else None
+            space = build(flips, 1 << len(flips), gathers=True) if flips else None
     return space
 
 

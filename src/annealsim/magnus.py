@@ -346,8 +346,10 @@ def _word_antiderivative(a: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _series_weights(order: int) -> tuple[np.ndarray, ...]:
-    """Weights of the ordered coefficient products in terms 1..order, shapes (3,)*k."""
+def _series_weights(order: int) -> np.ndarray:
+    """Weights of the ordered coefficient products in terms 1..order, as a
+    trie: row ``d`` is the node of the word ``(d)``; a node holds its word's
+    weight, then the nodes one degree longer, ``d = 0, 1, 2`` in turn."""
     poly = np.eye(3)
     omegas = [_word_antiderivative(poly)]
     s_table: dict[tuple[int, int], np.ndarray] = {}
@@ -359,10 +361,11 @@ def _series_weights(order: int) -> tuple[np.ndarray, ...]:
         integrand = sum(float(_BERNOULLI[j]) / math.factorial(j) * s_table[(m, j)]
                         for j in range(1, m))
         omegas.append(_word_antiderivative(integrand))
-    tables = tuple(w.sum(axis=1).reshape((3,) * k) for k, w in enumerate(omegas, 1))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    trie = omegas[-1].sum(axis=1)[:, None]
+    for k in range(order - 1, 0, -1):
+        trie = np.column_stack([omegas[k - 1].sum(axis=1), trie.reshape(3**k, -1)])
+    trie.setflags(write=False)
+    return trie
 
 
 # ---------------------------------------------------------------------------
@@ -621,19 +624,28 @@ def _word_weights(c: np.ndarray, order: int) -> np.ndarray:
     ``c[m, degree, base]`` are the fit coefficients of step ``m``.  Column
     ``w`` weighs the product ``B_{x_1} ... B_{x_k}``; words are grouped by
     length, and within a length ``x_1`` is the most significant digit.
+    The fits are ``i`` times reals (:func:`_fit_steps`), so a length-k word
+    weighs ``(-i)**k`` times a real sum over the trie of :func:`_series_weights`,
+    formed in float64 for all lengths at once with the steps innermost.
     """
     count, _, nb = c.shape
-    flats = []
-    for k, table in enumerate(_series_weights(order), 1):
-        # contract the weight tensor against c one degree index at a time:
-        # r[m, x_1..x_j, d_{j+1}..d_k] stored as (m, nb**j, 3**(k-j))
-        r = np.tensordot(c, table.reshape(3, -1), axes=(1, 0))
-        for j in range(2, k + 1):
-            p = nb ** (j - 1)
-            q = 3 ** (k - j)
-            r = np.einsum("mpdq,mdx->mpxq", r.reshape(count, p, 3, q), c)
-        flats.append(r.reshape(count, nb**k))
-    return np.concatenate(flats, axis=1)
+    trie = _series_weights(order)
+    a = np.negative(c.imag.transpose(1, 2, 0), order="C")  # a[degree, base, step]
+    out = np.empty((count, _word_count(nb, order)), dtype=complex)
+    # the words of length 1 by three products summed in degree order, as on
+    # every later level
+    np.multiply(np.add.reduce(trie[:, :1, None] * a, axis=0).T, -1j, out=out[:, :nb])
+    # level[d_k, node, x_1..x_{k-1}, step]: the nodes below depth k - 1
+    level = (trie[:, 1:].T @ a.reshape(3, -1)).reshape(3, -1, nb, count)
+    lo = nb
+    for k in range(2, order + 1):
+        nodes = level[0, :, :, None] * a[0, None, None]
+        for d in (1, 2):
+            nodes += level[d, :, :, None] * a[d, None, None]
+        np.multiply(nodes[0].reshape(nb**k, count).T, (-1j) ** k, out=out[:, lo : lo + nb**k])
+        lo += nb**k
+        level = nodes[1:].reshape(3, -1, nb**k, count)
+    return out
 
 
 class _Engine:

@@ -117,3 +117,15 @@ def orbit_isometry(model, offsets=None, driver_sign=1) -> tuple[np.ndarray, int]
         if column.any():
             columns.append(column / np.linalg.norm(column))
     return np.array(columns).T, len(group)
+
+
+def series_tables(order):
+    """The (3,)*k weights of series terms k = 1..order, read out of the trie
+    of ``annealsim.magnus._series_weights``."""
+    from annealsim.magnus import _series_weights
+
+    tables, nodes = [], _series_weights(order)
+    for k in range(1, order + 1):
+        tables.append(nodes[:, 0].reshape((3,) * k))
+        nodes = nodes[:, 1:].reshape(3 ** (k + 1), -1)
+    return tables

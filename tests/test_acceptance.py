@@ -19,6 +19,7 @@ from conftest import (
     FIVE_SPIN_GROUND_ENERGY,
     FIVE_SPIN_GROUND_INDICES,
     random_model,
+    series_tables,
 )
 
 
@@ -166,9 +167,7 @@ def _table_terms(coeffs, tables):
 
 
 def test_criterion_05_cross_path_equivalence():
-    from annealsim.magnus import _series_weights
-
-    tables = _series_weights(qa.magnus.MAX_ORDER)
+    tables = series_tables(qa.magnus.MAX_ORDER)
     rng = np.random.default_rng(2024)
     worst = worst_tables = 0.0
     for _ in range(500):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annealsim as qa
-from conftest import base_operators, orbit_isometry
+from conftest import base_operators, orbit_isometry, series_tables
 
 
 def random_antihermitian(rng, dim):
@@ -322,14 +322,50 @@ class TestBatchedEngine:
             assert np.abs(direct - batch[k]).max() <= 1e-14 * max(1.0, scale) * scale
 
     def test_series_weights_match_explicit_tables(self):
-        from annealsim.magnus import _omega_weight_table, _series_weights
+        from annealsim.magnus import _omega_weight_table
 
-        tables = _series_weights(4)
+        tables = series_tables(4)
         for k in range(1, 5):
             dense = np.zeros((3,) * k)
             for word, weight in _omega_weight_table(k).items():
                 dense[word] = weight
             assert np.abs(tables[k - 1] - dense).max() <= 1e-15
+
+
+def einsum_word_weights(c, order):
+    """Word weights by contracting each term's table against the complex
+    fits one degree at a time; the reference for ``_word_weights``."""
+    count, _, nb = c.shape
+    flats = []
+    for k, table in enumerate(series_tables(order), 1):
+        # r[m, x_1..x_j, d_{j+1}..d_k] stored as (m, nb**j, 3**(k-j))
+        r = np.tensordot(c, table.reshape(3, -1), axes=(1, 0))
+        for j in range(2, k + 1):
+            p = nb ** (j - 1)
+            q = 3 ** (k - j)
+            r = np.einsum("mpdq,mdx->mpxq", r.reshape(count, p, 3, q), c)
+        flats.append(r.reshape(count, nb**k))
+    return np.concatenate(flats, axis=1)
+
+
+# (order, bases, steps); order 8 with 3 bases, 3**8 words of the longest
+# length, only up to 64 steps
+WORD_WEIGHT_CASES = [(order, nb, steps) for order in range(1, 9) for nb in (2, 3)
+                     for steps in (1, 4, 64, 1024) if (order, nb) != (8, 3) or steps <= 64]
+
+
+class TestWordWeights:
+    @pytest.mark.parametrize("order, n_bases, steps", WORD_WEIGHT_CASES)
+    def test_bitwise_equal_to_complex_contraction(self, order, n_bases, steps):
+        from annealsim.magnus import _word_weights
+
+        rng = np.random.default_rng([order, n_bases, steps])
+        # fits as _fit_steps forms them: -i tau width times real coefficients
+        scale = (-1j * 2.5) * rng.uniform(1e-3, 0.5, size=steps)
+        c = scale[:, None, None] * rng.normal(size=(steps, 3, n_bases))
+        weights = _word_weights(c, order)
+        assert weights.flags.c_contiguous
+        assert np.array_equal(weights, einsum_word_weights(c, order))
 
 
 class TestMemoryPreflight:

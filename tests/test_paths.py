@@ -181,6 +181,24 @@ class TestOrbitSpace:
         assert full.run_space() is full
         assert list(hamiltonian_mod._ORBIT_SPACES.values()) == [None]
 
+    def test_dropped_space_is_decided_before_its_tables(self, monkeypatch):
+        # the chain above: its 32 flips' tables and weights would take
+        # 16.8 MB, the labels and orbits of the search about 4 MB
+        import tracemalloc
+
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
+        n = 16
+        model = qa.IsingModel.from_terms({(i, i + 1): 1.0 for i in range(1, n)})
+        offsets = qa.FieldOffsets.from_vectors(x=[0.1] * n, z=[0.05] * n)
+        tracemalloc.start()
+        try:
+            space = hamiltonian_mod._orbit_space(tuple(model.terms.items()), n, offsets, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space is None
+        assert peak < 8 << 20
+
     @pytest.mark.parametrize("copy", [False, True])
     def test_five_spin_group(self, copy):
         # a relabelled, gauge-flipped copy has a conjugate group

@@ -460,13 +460,14 @@ class TestStepGrid:
 
 
 class TestNonFiniteGenerators:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("chunk_elements", [1, 1 << 21])
     @pytest.mark.parametrize("path", ["dense", "krylov"])
-    def test_bad_step_is_named(self, monkeypatch, path, chunk_elements):
-        # NaN only inside (0.2, 0.3), which the probes at 0, 0.5 and 1 miss;
-        # of ten steps only the third has a node there, its midpoint 0.25
+    def test_bad_step_is_named(self, monkeypatch, path, chunk_elements, bad):
+        # NaN or inf only inside (0.2, 0.3), which the probes at 0, 0.5 and 1
+        # miss; of ten steps only the third has a node there, its midpoint 0.25
         sched = qa.schedule_from_functions(
-            lambda s: np.where((s > 0.2) & (s < 0.3), np.nan, 1.0 - s), lambda s: s + 0.0)
+            lambda s: np.where((s > 0.2) & (s < 0.3), bad, 1.0 - s), lambda s: s + 0.0)
         monkeypatch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
         monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
         # a chunk element bound of 1 puts every step in a chunk of its own
