@@ -8,18 +8,18 @@ as a length ``2**n`` vector.
 :class:`_BaseOperators` alone describes the fixed operators whose weighted
 sum is ``H(s)``: the driver, the Ising diagonal and the optional field
 offsets, each as bit flips or gathers plus a diagonal, on the full space or
-on the orbit space of the model's signed-permutation symmetries
-(:class:`_OrbitSpace`, found by :mod:`annealsim.symmetry`).  Every ``H(s)``,
-every step generator of :mod:`annealsim.magnus` and every matrix-free
-product of its Krylov path is formed from it, and it decides the space a run
-propagates on, the start state there and the lift of the final state back to
-``2**n`` amplitudes.
+on the orbit space of the model's signed-permutation symmetries (found by
+:mod:`annealsim.symmetry`, built by :func:`_build_orbit_space`).  Every
+``H(s)``, every step generator of :mod:`annealsim.magnus` and every
+matrix-free product of its Krylov path is formed from it, and it decides the
+space a run propagates on, the start state there and the lift of the final
+state back to ``2**n`` amplitudes.
 
 Every allocation here and in :mod:`annealsim.magnus` that grows with the
 input runs inside :func:`_memory_gate`, which sizes it first and raises
 :class:`SizeError` where it would not fit, or where it fails anyway.  What
 outlives its gate is the cache of the spaces recent runs propagate on, one
-per model: up to 16 of them and 32 MiB of orbit tables beside the latest.
+per model: up to 16 of them and 32 MiB of their arrays beside the latest.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
 try:
     import resource
@@ -270,57 +270,6 @@ def _flip_index(mask: int) -> tuple:
                                for k in reversed(range(mask.bit_length())))
 
 
-def _term_flips(n: int, driver_sign: int,
-                offsets: FieldOffsets | None) -> list[list[tuple[int, float]]]:
-    """The flips ``(mask, w)`` of each base on the full space: the driver's,
-    none for the Ising part, and the X offsets' where there are offsets."""
-    flips = [[(1 << k, float(driver_sign)) for k in range(n)], []]
-    if offsets is not None:
-        flips.append([(1 << k, w) for k, w in enumerate(offsets.x) if w != 0.0])
-    return flips
-
-
-def _parities(states: np.ndarray, n: int) -> np.ndarray:
-    """1 where a basis state has an odd number of bits set, else 0."""
-    odd = np.zeros(states.shape, dtype=np.int64)
-    for k in range(n):
-        odd ^= (states >> k) & 1
-    return odd
-
-
-class _OrbitSpace(NamedTuple):
-    """The orbits of the basis states under a group ``G`` of a model's symmetries.
-
-    Orbit ``r`` stands for ``(1 / sqrt|O_r|) sum_{v in O_r} c_v |v>``, with
-    ``c_v`` in ``phase``: 1 under all-plus, ``(-1)**(|v| + |reps[r]|)`` under
-    all-minus, so that every ``g = (pi, m)`` acts on it by the start state's
-    eigenvalue, 1 or ``(-1)**|m|``.  Since ``(-1)**|v|`` itself obeys that
-    rule, no orbit's phases conflict, and every orbit is kept.  Orbits are
-    ordered by their smallest member, ``reps[r]``.  ``flips`` holds the flips
-    of every base restricted to the orbits: a flip ``(mask, w)`` becomes the
-    gather ``out[r] += w_r psi[t_r]``, ``t_r`` the orbit of ``reps[r] ^ mask``
-    and ``w_r = w c sqrt(|O_r| / |O_t|)``, ``c`` the phase of that state; a
-    gather that is a flip of the orbit indices, as on a sector of the global
-    flip, stays a flip ``(mask, w)``.  ``parity`` is the start state's
-    eigenvalue of the global flip where ``G`` holds it, else None.
-    """
-
-    order: int
-    parity: int | None
-    reps: np.ndarray
-    orbit: np.ndarray
-    phase: np.ndarray
-    root_sizes: np.ndarray
-    flips: list
-
-    @property
-    def nbytes(self) -> int:
-        arrays = [self.reps, self.orbit, self.phase, self.root_sizes]
-        arrays += [a for term in self.flips for flip in term for a in flip
-                   if isinstance(a, np.ndarray)]
-        return sum(a.nbytes for a in arrays)
-
-
 # From 1 << _KRYLOV_MIN_BITS states (2**n on the full space, the orbit count
 # on an orbit space), annealsim.magnus steps by Lanczos, where an orbit space
 # keeps gathers only if they cut the states 4-fold.  Adaptive order-4 runs on
@@ -328,43 +277,42 @@ class _OrbitSpace(NamedTuple):
 # (0.81 / 0.79 s), 4x slower at 256 (4.65 / 1.13 s).
 _KRYLOV_MIN_BITS = 7
 
-# orbit spaces by model, offsets and driver sign, the latest last, so that a
-# sweep finds its model's symmetries once; those before the latest are
-# dropped past 16 spaces or 32 MiB of orbit tables.  The lock serves the
-# threads of a sweep.  Each was chosen under the _KRYLOV_MIN_BITS of its build.
+# the spaces runs propagate on (None for the full space) by model, offsets,
+# driver sign and _KRYLOV_MIN_BITS, the latest last, so that a sweep finds its
+# model's symmetries once; those before the latest are dropped past 16 spaces
+# or 32 MiB of their arrays.  The lock serves the threads of a sweep.
 _ORBIT_SPACES: dict = {}
 _ORBIT_LOCK = threading.Lock()
 _ORBIT_SPACES_KEPT = 16
 _ORBIT_BYTES_KEPT = 1 << 25
 
 
-def _orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
-                 driver_sign: int) -> _OrbitSpace | None:
-    """The cached :func:`_build_orbit_space`; ``terms`` are the model's items."""
-    key = (terms, n, offsets, driver_sign)
-    with _ORBIT_LOCK:
-        space = _ORBIT_SPACES.pop(key, False)
-        if space is False:
-            space = _build_orbit_space(*key)
-            kept, count = (0 if space is None else space.nbytes), 1
-            for old in reversed(list(_ORBIT_SPACES)):
-                kept += 0 if _ORBIT_SPACES[old] is None else _ORBIT_SPACES[old].nbytes
-                count += 1
-                if kept > _ORBIT_BYTES_KEPT or count > _ORBIT_SPACES_KEPT:
-                    del _ORBIT_SPACES[old]
-        _ORBIT_SPACES[key] = space
-    return space
+def _build_orbit_space(bases: "_BaseOperators") -> "_BaseOperators | None":
+    """The full-space ``bases`` on the orbit space a run of their model
+    propagates on, or None for the full space: that of its symmetry group
+    ``G``, unless it has a gather, at least ``1 << _KRYLOV_MIN_BITS`` states
+    (the Krylov path, where a gather costs 2-5 times a bit flip per entry)
+    and over a quarter of the ``2**n``; then that of its X flips alone, the
+    generators that permute no qubit.
 
-
-def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
-                       driver_sign: int) -> _OrbitSpace | None:
-    """The orbit space a run of the model propagates on, or None for the
-    full space: that of its symmetry group, unless it has a gather, at least
-    ``1 << _KRYLOV_MIN_BITS`` states (the Krylov path, where a gather costs
-    2-5 times a bit flip per entry) and over a quarter of the ``2**n``; then
-    that of its X flips alone, the generators that permute no qubit."""
+    Orbit ``r`` stands for ``(1 / sqrt|O_r|) sum_{v in O_r} c_v |v>``; ``c_v``
+    in ``phase`` is the start state's sign at ``v`` times its sign at
+    ``reps[r]``, the orbit's smallest member, so that every ``g = (pi, m)``
+    acts on it by the start state's eigenvalue, 1 or ``(-1)**|m|``.  No
+    orbit's phases conflict, since the start state obeys that rule, so every
+    orbit is kept, in the order of ``reps``; ``orbit`` maps each basis state
+    to its orbit and ``root_sizes`` holds ``sqrt|O_r|``.  A flip ``(mask,
+    w)`` becomes the gather ``out[r] += w_r psi[t_r]``, ``t_r`` the orbit of
+    ``reps[r] ^ mask`` and ``w_r = w c sqrt(|O_r| / |O_t|)``, ``c`` the phase
+    of that state; a gather that is a flip of the orbit indices, as on a
+    sector of the global flip, stays a flip ``(mask, w)``.  A diagonal takes
+    each orbit's entry at ``reps``.  ``parity`` is the start state's
+    eigenvalue of the global flip where ``G`` holds it, else None.  Every
+    array is read-only: the space is shared between runs.
+    """
+    n, offsets = bases.n_qubits, bases.offsets
     J, h = np.zeros((n, n)), np.zeros(n)
-    for key, coeff in terms:
+    for key, coeff in bases.model.terms.items():
         if len(key) == 1:
             h[key[0] - 1] = coeff
         else:
@@ -374,18 +322,17 @@ def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
     generators, order = signed_symmetries(J, h, x, z)
     if order == 1:
         return None
-    term_flips = _term_flips(n, driver_sign, offsets)
-    parity = None if h.any() or z.any() else 1 if driver_sign == -1 else (-1) ** n
 
-    def build(generators: list, order: int, gathers: bool) -> _OrbitSpace | None:
+    def build(generators: list, order: int, gathers: bool) -> _BaseOperators | None:
         """Their orbit space, or None at its first gather where neither
         ``gathers`` nor the size rule above lets it keep one."""
         labels = orbit_labels(n, generators)
         reps, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
         dim = reps.size
         gathers = gathers or dim < 1 << _KRYLOV_MIN_BITS or 4 * dim <= 1 << n
-        phase = (1.0 - 2.0 * (_parities(np.arange(1 << n), n) ^ _parities(labels, n))
-                 if driver_sign == 1 else np.ones(1 << n))
+        if not gathers and dim & (dim - 1):
+            return None  # no flip of the orbit indices, so the driver's flips are gathers
+        phase = signs * signs[labels]
         root_sizes = np.sqrt(sizes)
         index = np.arange(dim)
 
@@ -404,21 +351,25 @@ def _build_orbit_space(terms: tuple, n: int, offsets: FieldOffsets | None,
             weights.setflags(write=False)
             return (table, weights) if gathers else None
 
-        flips = [[] for _ in term_flips]
-        for row, term in zip(flips, term_flips):
-            for mask, w in term:
-                row.append(restrict(mask, w))
-                if row[-1] is None:
-                    return None
-        for a in (reps, orbit, phase, root_sizes):
+        terms = [([restrict(mask, w) for mask, w in flips],
+                  None if diagonal is None else diagonal[reps]) for flips, diagonal in bases.terms]
+        if any(None in flips for flips, _ in terms):
+            return None
+        for a in [reps, orbit, phase, root_sizes] + [d for _, d in terms if d is not None]:
             a.setflags(write=False)
-        return _OrbitSpace(order, parity, reps, orbit, phase, root_sizes, flips)
+        space = copy.copy(bases)
+        space.dim, space.symmetry_order, space.parity = dim, order, parity
+        space.reps, space.orbit, space.phase, space.root_sizes = reps, orbit, phase, root_sizes
+        space.terms = terms
+        return space
 
     # 8 bytes a state in each of: the generators' images, 9 working arrays
     # (tracemalloc: at most 8 at 8-16 qubits) and a table and its weights
     # per flip; the X flips alone are fewer generators, with no tables
-    need = (8 << n) * (len(generators) + 9 + 2 * sum(map(len, term_flips)))
+    need = (8 << n) * (len(generators) + 9 + 2 * sum(len(flips) for flips, _ in bases.terms))
     with _memory_gate(need, f"{n} qubits in the orbits of {len(generators)} symmetries"):
+        signs = bases.start_signs(np.arange(1 << n))
+        parity = None if h.any() or z.any() else int(signs[0] * signs[-1])
         space = build(generators, order, gathers=False)
         if space is None:
             flips = [g for g in generators if g[0] == tuple(range(n))]
@@ -440,9 +391,10 @@ class _BaseOperators:
     vector, summed (:meth:`apply_sum`).
 
     ``model`` gives the terms the symmetries are found from
-    (:mod:`annealsim.symmetry`); ``diagonal`` is its Ising diagonal.  On the
-    full space ``space`` is None; :meth:`run_space` gives the same bases on
-    the orbit space (:class:`_OrbitSpace`) that a run propagates on.
+    (:mod:`annealsim.symmetry`); ``diagonal`` is its Ising diagonal.
+    :meth:`run_space` gives the bases on the space a run propagates on, with
+    the orbit tables of :func:`_build_orbit_space`; on the full space
+    ``symmetry_order`` is 1 and those tables and ``parity`` are None.
     """
 
     def __init__(self, model: IsingModel, driver_sign: int, diagonal: np.ndarray,
@@ -451,56 +403,63 @@ class _BaseOperators:
         self.n_qubits = n = model.n_qubits
         self.driver_sign = driver_sign
         self.offsets = offsets if offsets is not None and offsets.any_nonzero() else None
-        self.space: _OrbitSpace | None = None
-        self.dim = 1 << n
-        diagonals = [None, diagonal]
+        self.dim, self.symmetry_order = 1 << n, 1
+        self.parity = self.reps = self.orbit = self.phase = self.root_sizes = None
+        self.terms: list[tuple[list, np.ndarray | None]] = [
+            ([(1 << k, float(driver_sign)) for k in range(n)], None), ([], diagonal)]
         if self.offsets is not None:
-            diagonals.append(_spin_table(n) @ np.asarray(offsets.z))
-        self.terms: list[tuple[list, np.ndarray | None]] = list(
-            zip(_term_flips(n, driver_sign, self.offsets), diagonals))
+            self.terms.append(([(1 << k, w) for k, w in enumerate(offsets.x) if w != 0.0],
+                               _spin_table(n) @ np.asarray(offsets.z)))
         self.count = len(self.terms)
 
     @property
-    def parity(self) -> int | None:
-        """The start state's eigenvalue of the global spin flip, where the
-        space is an orbit space of a group that holds it, else None."""
-        return None if self.space is None else self.space.parity
-
-    @property
-    def symmetry_order(self) -> int:
-        return 1 if self.space is None else self.space.order
+    def nbytes(self) -> int:
+        """Bytes of the arrays these bases hold: diagonals, gathers and orbit tables."""
+        arrays = [self.reps, self.orbit, self.phase, self.root_sizes]
+        arrays += [a for flips, diagonal in self.terms for a in [diagonal, *sum(flips, ())]]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
     def run_space(self) -> "_BaseOperators":
-        """The bases a run propagates on, on the space that
-        :func:`_build_orbit_space` chooses; a diagonal takes each orbit's
-        entry at its smallest member."""
-        space = _orbit_space(tuple(self.model.terms.items()), self.n_qubits, self.offsets,
-                             self.driver_sign)
-        if space is None:
-            return self
-        out = copy.copy(self)
-        out.space, out.dim = space, space.reps.size
-        out.terms = [(flips, None if diagonal is None else diagonal[space.reps])
-                     for flips, (_, diagonal) in zip(space.flips, self.terms)]
-        return out
+        """The bases a run propagates on: those :func:`_build_orbit_space`
+        gives, cached by model, offsets, driver sign and
+        ``_KRYLOV_MIN_BITS``, else these."""
+        key = (tuple(self.model.terms.items()), self.n_qubits, self.offsets, self.driver_sign,
+               _KRYLOV_MIN_BITS)
+        with _ORBIT_LOCK:
+            space = _ORBIT_SPACES.pop(key, False)
+            if space is False:
+                space = _build_orbit_space(self)
+                kept, count = (0 if space is None else space.nbytes), 1
+                for old in reversed(list(_ORBIT_SPACES)):
+                    kept += 0 if _ORBIT_SPACES[old] is None else _ORBIT_SPACES[old].nbytes
+                    count += 1
+                    if kept > _ORBIT_BYTES_KEPT or count > _ORBIT_SPACES_KEPT:
+                        del _ORBIT_SPACES[old]
+            _ORBIT_SPACES[key] = space
+        return self if space is None else space
+
+    def start_signs(self, states: np.ndarray) -> np.ndarray:
+        """The start state's sign at each basis state of ``states``: all-minus,
+        the product of the spins ``(-1)**|v|``, under driver sign +1, else
+        all-plus."""
+        odd = np.zeros(states.shape, dtype=np.int64)
+        for k in range(self.n_qubits if self.driver_sign == 1 else 0):
+            odd ^= (states >> k) & 1
+        return 1.0 - 2.0 * odd
 
     def start_state(self) -> np.ndarray:
-        """The driver's ground state on this space: all-minus (the product of
-        the spins) under driver sign +1, else all-plus.  Orbit state ``r``
-        holds ``1 / sqrt|O_r|`` of each member, so it takes ``sqrt|O_r|``
-        times the amplitude of its smallest member."""
-        states = np.arange(self.dim) if self.space is None else self.space.reps
-        spins = (1.0 - 2.0 * _parities(states, self.n_qubits) if self.driver_sign == 1
-                 else np.ones(self.dim))
-        psi = spins.astype(complex) / math.sqrt(1 << self.n_qubits)
-        return psi if self.space is None else psi * self.space.root_sizes
+        """The driver's ground state on this space.  Orbit state ``r`` holds
+        ``1 / sqrt|O_r|`` of each member, so it takes ``sqrt|O_r|`` times the
+        amplitude of its smallest member."""
+        states = np.arange(self.dim) if self.reps is None else self.reps
+        psi = self.start_signs(states).astype(complex) / math.sqrt(1 << self.n_qubits)
+        return psi if self.reps is None else psi * self.root_sizes
 
     def lift(self, psi: np.ndarray) -> np.ndarray:
         """A state on this space as its ``2**n_qubits`` amplitudes."""
-        if self.space is None:
+        if self.orbit is None:
             return psi
-        orbit = self.space.orbit
-        return psi[orbit] * self.space.phase / self.space.root_sizes[orbit]
+        return psi[self.orbit] * self.phase / self.root_sizes[self.orbit]
 
     def envelopes(self, schedule, s: np.ndarray) -> np.ndarray:
         """Weights ``(s.size, count)`` of the bases at every point of ``s``."""

@@ -942,8 +942,8 @@ def simulate_fixed(
         kind, need = _KrylovEngine, _krylov_bytes(bases.dim, bases.count, order)
     else:
         kind, need = _StepEngine, sum(_engine_bytes(bases.dim, bases.count, order, steps))
-    # the orbit tables are held through the run
-    tables = 0 if bases.space is None else bases.space.nbytes
+    # the tables and diagonals of the bases are held through the run
+    tables = bases.nbytes
     subject = f"{model.n_qubits} qubits at order {order} with {bases.count} base operators"
     with _memory_gate(need + tables + 32 * steps, subject):
         starts, widths = _step_grid(n_steps, schedule.kinks, _level)
@@ -1037,8 +1037,10 @@ def simulate_sweep(
 
     Failures are captured per point instead of aborting the sweep.  With
     ``jobs > 1`` the points run on that many threads; the points come back
-    in input order either way.
+    in input order either way.  ``jobs`` below 1 raises ``ValueError``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     taus = [float(t) for t in tau_list]
     if not taus:
         raise ValueError("tau_list must be nonempty")

@@ -130,6 +130,25 @@ def schedule_from_functions(
     )
 
 
+def _check_table(path, table: np.ndarray) -> None:
+    """Raise :class:`ScheduleError` unless every value of the ``s,a,b`` rows
+    ``table`` of ``path`` is finite and its ``s`` column is strictly
+    increasing and covers [0, 1]; rows are counted from the header, row 1."""
+    s = table[:, 0]
+    if not np.isfinite(table).all():
+        bad = int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0])
+        raise ScheduleError(f"{path}: non-finite value in row {bad + 2}")
+    if np.any(np.diff(s) <= 0):
+        bad = int(np.flatnonzero(np.diff(s) <= 0)[0])
+        raise ScheduleError(
+            f"{path}: s column must be strictly increasing "
+            f"(violated between rows {bad + 2} and {bad + 3})"
+        )
+    if not s.size or s[0] > 0.0 or s[-1] < 1.0:
+        spans = s[[0, -1]].tolist() if s.size else []
+        raise ScheduleError(f"{path}: s column must cover [0, 1], spans {spans}")
+
+
 def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
     """Load a tabulated schedule and interpolate it piecewise-linearly.
 
@@ -152,25 +171,14 @@ def load_schedule_csv(path, driver_sign: int = 1) -> AnnealingSchedule:
             if len(row) != 3:
                 raise ScheduleParseError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
             try:
-                values = tuple(float(c) for c in row)
+                rows.append(tuple(float(c) for c in row))
             except ValueError as exc:
                 raise ScheduleParseError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(np.isfinite(v) for v in values):
-                raise ScheduleParseError(f"{path}: line {lineno}: non-finite value")
-            rows.append(values)
     if len(rows) < 2:
         raise ScheduleParseError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    s = np.array([r[0] for r in rows])
-    a = np.array([r[1] for r in rows])
-    b = np.array([r[2] for r in rows])
-    if np.any(np.diff(s) <= 0):
-        bad = int(np.flatnonzero(np.diff(s) <= 0)[0])
-        raise ScheduleError(
-            f"{path}: s column must be strictly increasing "
-            f"(violated between rows {bad + 2} and {bad + 3})"
-        )
-    if s[0] > 0.0 or s[-1] < 1.0:
-        raise ScheduleError(f"{path}: s column must cover [0, 1], spans [{s[0]}, {s[-1]}]")
+    table = np.array(rows)
+    _check_table(path, table)
+    s, a, b = table.T
 
     def interpolant(values):
         def envelope(x):
@@ -195,20 +203,21 @@ def save_schedule_csv(schedule: AnnealingSchedule, path, s_grid: Sequence[float]
     Prefers the schedule's own table when it was loaded from CSV; otherwise
     evaluates on ``s_grid`` (default 1001 uniform points).  Floats are written
     with their shortest round-trip representation, so saving and reloading
-    reproduces the tabulated values exactly.
+    reproduces the tabulated values exactly.  A table that
+    :func:`load_schedule_csv` would reject (a grid that is not strictly
+    increasing or does not cover [0, 1], or a non-finite value) raises
+    :class:`ScheduleError` before the file is opened.
     """
     if s_grid is None and schedule.table is not None:
-        s_vals, a_vals, b_vals = schedule.table
+        table = np.array(schedule.table).T
     else:
         grid = np.linspace(0.0, 1.0, 1001) if s_grid is None else np.asarray(s_grid, dtype=float)
-        s_vals = [float(x) for x in grid]
-        a_vals = [float(schedule.A(x)) for x in grid]
-        b_vals = [float(schedule.B(x)) for x in grid]
+        table = np.array([(x, float(schedule.A(x)), float(schedule.B(x))) for x in grid])
+    _check_table(path, table.reshape(-1, 3))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "b"])
-        for s, a, b in zip(s_vals, a_vals, b_vals):
-            writer.writerow([repr(float(s)), repr(float(a)), repr(float(b))])
+        writer.writerows([repr(float(v)) for v in row] for row in table)
 
 
 def _unit_quadratic(f0, fm, f1):

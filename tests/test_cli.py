@@ -204,6 +204,16 @@ class TestSweep:
         assert "error[args]: evolution time must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_fail_with_exit_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep.json"
+        code = main(["sweep", "--model", "1,2=-1", "--schedule", "circular", "--steps", "32",
+                     "--times", "1.0", "--jobs", jobs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error[args]: jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_output_sorted_by_time_regardless_of_input_order(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(

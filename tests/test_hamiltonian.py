@@ -324,7 +324,7 @@ class TestBaseOperators:
                                                     rng, with_offsets)
         schedule = qa.builtin_schedule(name, driver_sign=sign)
         bases = _BaseOperators(model, sign, qa.ising_diagonal(model), offsets).run_space()
-        assert (bases.space is None) == (space == "full")
+        assert (bases.orbit is None) == (space == "full")
         stack = bases.dense()
         real = bases.envelopes(schedule, np.linspace(0.0, 1.0, 9))
         if space == "ring":
@@ -353,12 +353,12 @@ class TestBaseOperators:
         # couplings of two magnitudes: no reflection, only the global flip
         chain = {(1, 2): 1.0, (2, 3): -0.7}
         assert (space(chain).dim, space(chain).parity) == (4, -1)
-        assert space({**chain, (2,): 1e-3}).space is None
-        assert space(chain, qa.FieldOffsets.from_vectors(z=[0.0, 0.0, 1e-3])).space is None
+        assert space({**chain, (2,): 1e-3}).orbit is None
+        assert space(chain, qa.FieldOffsets.from_vectors(z=[0.0, 0.0, 1e-3])).orbit is None
         assert space(chain, qa.FieldOffsets.from_vectors(x=[0.0, 0.0, 0.4])).parity == -1
         # a free qubit's flip is the global flip: all-minus is all its space
         assert (space({}, n=1).dim, space({}, n=1).parity) == (1, -1)
-        assert space({(1,): 0.5}, n=1).space is None
+        assert space({(1,): 0.5}, n=1).orbit is None
 
 
 class TestEigenspectrum:

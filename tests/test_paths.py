@@ -74,7 +74,6 @@ class TestOrbitSpace:
         kwargs = {"n_steps": 8, "offsets": offsets}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 1 if krylov else 99)
-            patch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
             orbits = qa.simulate_fixed(*args, **kwargs)
             patch.setattr(_BaseOperators, "run_space", lambda self: self)
             full = qa.simulate_fixed(*args, **kwargs)
@@ -100,7 +99,6 @@ class TestOrbitSpace:
         schedule = qa.builtin_schedule("circular", driver_sign=sign)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 99)
-            patch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
             orbits = qa.simulate_fixed(model, 2.0, schedule, n_steps=16)
             patch.setattr(_BaseOperators, "run_space", lambda self: self)
             full = qa.simulate_fixed(model, 2.0, schedule, n_steps=16)
@@ -168,7 +166,24 @@ class TestOrbitSpace:
         assert (metadata["propagator"], metadata["space_dim"], metadata["flip_sector"]) == (
             "krylov", 256, -1)
         (space,) = hamiltonian_mod._ORBIT_SPACES.values()
-        assert all(isinstance(target, int) for term in space.flips for target, _ in term)
+        assert all(isinstance(target, int) for flips, _ in space.terms for target, _ in flips)
+
+    def test_cached_space_is_keyed_by_the_krylov_threshold(self, monkeypatch):
+        # the 9-qubit chain's 136 orbits run dense under a threshold that
+        # keeps every run dense; under one that sends them to Krylov, the
+        # quarter rule leaves the 256 states of the global flip's sector,
+        # though the dense run's space is still cached
+        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
+        chain = {(i, i + 1): 1.0 for i in range(1, 9)}
+        schedule = qa.builtin_schedule("linear")
+        found = []
+        for bits in (99, 1):
+            monkeypatch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", bits)
+            metadata = qa.simulate_fixed(chain, 1.0, schedule, n_steps=4).metadata
+            found.append((metadata["propagator"], metadata["space_dim"],
+                          metadata["flip_sector"]))
+        assert found == [("dense", 136, -1), ("krylov", 256, -1)]
+        assert len(hamiltonian_mod._ORBIT_SPACES) == 2
 
     def test_dropped_space_leaves_no_table(self, monkeypatch):
         # the 16-qubit chain with uniform X and Z offsets has its reflection
@@ -190,13 +205,14 @@ class TestOrbitSpace:
         n = 16
         model = qa.IsingModel.from_terms({(i, i + 1): 1.0 for i in range(1, n)})
         offsets = qa.FieldOffsets.from_vectors(x=[0.1] * n, z=[0.05] * n)
+        full = _BaseOperators(model, 1, qa.ising_diagonal(model), offsets)
         tracemalloc.start()
         try:
-            space = hamiltonian_mod._orbit_space(tuple(model.terms.items()), n, offsets, 1)
+            space = full.run_space()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert space is None
+        assert space is full
         assert peak < 8 << 20
 
     @pytest.mark.parametrize("copy", [False, True])

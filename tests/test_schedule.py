@@ -131,6 +131,22 @@ class TestCsvSchedules:
             assert float(reloaded.A(s)) == float(loaded.A(s))
             assert float(reloaded.B(s)) == float(loaded.B(s))
 
+    @pytest.mark.parametrize("grid, match", [
+        ([0.2, 0.5, 0.9], "cover"),
+        ([0.0, 0.5, 0.5, 1.0], "increasing"),
+        ([0.0, 1.0, 0.5], "increasing"),
+        (None, "non-finite value in row 993$"),
+    ], ids=["short", "repeated", "unsorted", "infinite"])
+    def test_save_refuses_what_load_rejects(self, tmp_path, grid, match):
+        # A is infinite on (0.99, 1): on the default grid first at its 992nd
+        # point, 0.991, which would be row 993 of the file
+        sched = qa.AnnealingSchedule(
+            A=lambda s: np.inf if 0.99 < s < 1.0 else 1.0 - s, B=lambda s: s + 0.0)
+        path = tmp_path / "table.csv"
+        with pytest.raises(qa.ScheduleError, match=match):
+            qa.save_schedule_csv(sched, path, s_grid=grid)
+        assert not path.exists()
+
     def test_header_required(self, tmp_path):
         path = self.write(tmp_path, "x,y,z\n0,1,0\n1,0,1\n")
         with pytest.raises(qa.ScheduleParseError, match="line 1"):

@@ -350,6 +350,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             qa.simulate_sweep(five_spin, [], circular)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, five_spin, circular, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}$"):
+            qa.simulate_sweep(five_spin, [1.0], circular, jobs=jobs)
+
 
 class TestReferenceRk:
     def test_time_independent_matches_conjugation(self):
@@ -469,7 +474,6 @@ class TestNonFiniteGenerators:
         sched = qa.schedule_from_functions(
             lambda s: np.where((s > 0.2) & (s < 0.3), bad, 1.0 - s), lambda s: s + 0.0)
         monkeypatch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
-        monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
         # a chunk element bound of 1 puts every step in a chunk of its own
         monkeypatch.setattr(magnus_mod, "_CHUNK_ELEMENTS", chunk_elements)
         with pytest.raises(qa.NumericalError, match=r"non-finite step generator at step index 2$"):
@@ -477,10 +481,9 @@ class TestNonFiniteGenerators:
 
 
 def _propagate(monkeypatch, path, *args, **kwargs):
-    """simulate_fixed forced onto the dense or the Krylov path, its space
-    chosen anew under that path's threshold."""
+    """simulate_fixed forced onto the dense or the Krylov path, on the space
+    chosen under that path's threshold."""
     monkeypatch.setattr(hamiltonian_mod, "_KRYLOV_MIN_BITS", 1 if path == "krylov" else 99)
-    monkeypatch.setattr(hamiltonian_mod, "_ORBIT_SPACES", {})
     result = qa.simulate_fixed(*args, **kwargs)
     assert result.metadata["propagator"] == path
     return result
@@ -647,6 +650,26 @@ class TestKrylovPath:
             assert (result.metadata["propagator"], result.metadata["space_dim"]) == (path, dim)
             assert ("flip_sector" in result.metadata) == ((1,) not in model.terms)
             assert result.state.shape == (1 << model.n_qubits,)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_orbit_space_with_gathers_matches_full_space(self, monkeypatch, sign):
+        # the 12-qubit ring with a field: the dihedral group of order 24
+        # leaves 224 orbits of 4096, kept with their gathers on the Krylov
+        # path at the package's own threshold
+        n = 12
+        terms = {**{(i, i + 1): 1.0 for i in range(1, n)}, (1, n): 1.0,
+                 **{(i,): 0.3 for i in range(1, n + 1)}}
+        schedule = qa.builtin_schedule("circular", driver_sign=sign)
+        orbits = qa.simulate_fixed(terms, 2.0, schedule, n_steps=16)
+        _no_sector(monkeypatch)
+        full = qa.simulate_fixed(terms, 2.0, schedule, n_steps=16)
+        metadata = orbits.metadata
+        assert (metadata["propagator"], metadata["space_dim"], metadata["symmetry_order"]) == (
+            "krylov", 224, 24)
+        assert (full.metadata["propagator"], full.metadata["space_dim"]) == ("krylov", 1 << n)
+        # the pure states' trace distance from their vectors: rho would take 268 MB
+        psi, phi = (r.state / np.linalg.norm(r.state) for r in (orbits, full))
+        assert np.linalg.norm(phi - np.vdot(psi, phi) * psi) <= 1e-13
 
     def test_propagator_reported(self, circular):
         dense = qa.simulate_fixed(random_model(np.random.default_rng(1), 5), 1.0, circular,
